@@ -132,34 +132,27 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    workers = args.workers
     if args.theorem in ("main", "corollary", "kneser-pairs"):
         group = parse_group(args.group)
-        run = vf.exhaustive_theorem(group, args.theorem, workers=workers)
+        run = vf.exhaustive_theorem(group, args.theorem)
     elif args.theorem == "kneser":
         if args.seed is None:
             raise ValueError("randomized verify requires --seed")
         groups = [parse_group(s) for s in args.group.split(";")]
-        run = vf.random_kneser(
-            groups, args.m_max, args.trials, args.seed, workers=workers
-        )
+        run = vf.random_kneser(groups, args.m_max, args.trials, args.seed)
     elif args.theorem == "sequence":
         if args.seed is None:
             raise ValueError("randomized verify requires --seed")
         group = parse_group(args.group)
-        run = vf.random_sequence_theorem(
-            group, args.n_max, args.trials, args.seed, workers=workers
-        )
+        run = vf.random_sequence_theorem(group, args.n_max, args.trials, args.seed)
     elif args.theorem == "olson":
         if args.p is None:
             raise ValueError("olson verify needs --p")
-        run = vf.olson_check(args.p, workers=workers)
+        run = vf.olson_check(args.p)
     elif args.theorem == "vu":
         if args.n is None:
             raise ValueError("vu verify needs --n")
-        run = vf.vu_check(
-            args.n, sample=args.sample, seed=args.seed, workers=workers
-        )
+        run = vf.vu_check(args.n, sample=args.sample, seed=args.seed)
     elif args.theorem == "interval":
         if args.n is None:
             raise ValueError("interval example needs --n")
@@ -291,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -20,7 +20,7 @@ from .setcalc import (
     sumset,
 )
 
-EXHAUSTIVE_SUBSET_CAP = 24
+HALF_SUBSET_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def greedy_grow(A: GroupSet, u: int) -> GrowthTrace:
     return GrowthTrace(tuple(steps), GroupSet(g, chosen_mask))
 
 
-def best_half_subset(A: GroupSet, cap: int = EXHAUSTIVE_SUBSET_CAP):
+def best_half_subset(A: GroupSet, cap: int = HALF_SUBSET_CAP):
     """Exact max of |Sigma(B)| over half-size subsets B of A.
 
     |A| must be even (= 2u); ties resolve to the lexicographically least

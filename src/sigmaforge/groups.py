@@ -283,11 +283,17 @@ class QuotientGroup(Group):
     def element_literal(self, index):
         return str(index)
 
+    # `quotient()` numbers the cosets deterministically from (G, H), so two
+    # quotients by the same subgroup are the same group, index for index.
     def __eq__(self, other):
-        return self is other
+        return (
+            type(other) is QuotientGroup
+            and self.ambient == other.ambient
+            and self.subgroup.mask == other.subgroup.mask
+        )
 
     def __hash__(self):
-        return id(self)
+        return hash((self.ambient, self.subgroup.mask))
 
     def __repr__(self):
         return f"QuotientGroup({self.spec()})"

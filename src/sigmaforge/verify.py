@@ -2,8 +2,9 @@
 
 Exhaustive modes enumerate every instance below a capacity cap; random
 modes draw instances from a seeded RNG so every reported number is
-replayable.  Worker counts only partition the (pre-generated) instance
-stream; merged statistics are identical for any worker count.
+replayable.  Every verifier streams its instances, in a fixed order,
+through one driver (`_verify`) on a single thread, so no instance list
+is ever held in memory.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .groups import CapacityError, Group
 from .setcalc import (
@@ -115,194 +116,157 @@ class ExtremalRecord:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _chunks(items, workers):
-    workers = max(1, int(workers))
-    n = len(items)
-    size = -(-n // workers) if n else 0
-    return [items[i : i + size] for i in range(0, n, size)] if size else []
+def _verify(instances, evaluate, literal, key=None, extra_stats=None, **run_fields):
+    """Evaluate every instance in order and assemble the run.
 
-
-class _MinTracker:
-    """Minimum slack with lexicographic witness tie-break; merge-friendly."""
-
-    def __init__(self):
-        self.slack = None
-        self.key = None
-        self.witness = None
-
-    def offer(self, slack, key, witness):
-        cand = (slack, key)
-        if self.slack is None or cand < (self.slack, self.key):
-            self.slack, self.key, self.witness = slack, key, witness
-
-    def merge(self, other):
-        if other.slack is not None:
-            self.offer(other.slack, other.key, other.witness)
-
-
-def _run_partitioned(instances, evaluate, workers):
-    """Evaluate instances chunk by chunk; merge counterexamples and min slack.
-
-    `evaluate` maps an instance to (ok, slack, key, witness, payload).
+    `evaluate(inst)` returns `(slack, payload)`, where `payload` is the
+    counterexample record, or None when the instance satisfies the bound.
+    The witness is the instance with the least `(slack, key(inst))`
+    (`key` defaults to the instance itself); `key` is only computed for
+    instances that can still win, and `literal` formats the witness once,
+    at the end.  `run_fields` are the remaining `VerificationRun` fields.
     """
+    t0 = time.perf_counter()
+    if key is None:
+        key = lambda inst: inst  # noqa: E731
     counterexamples = []
-    tracker = _MinTracker()
     count = 0
-    for chunk in _chunks(instances, workers):
-        local = _MinTracker()
-        local_bad = []
-        for inst in chunk:
-            ok, slack, key, witness, payload = evaluate(inst)
-            count += 1
-            local.offer(slack, key, witness)
-            if not ok:
-                local_bad.append(payload)
-        tracker.merge(local)
-        counterexamples.extend(local_bad)
-    return counterexamples, tracker, count
+    best_slack = best_key = best = None
+    for inst in instances:
+        count += 1
+        slack, payload = evaluate(inst)
+        if payload is not None:
+            counterexamples.append(payload)
+        if best_slack is None or slack <= best_slack:
+            k = key(inst)
+            if best_slack is None or slack < best_slack or k < best_key:
+                best_slack, best_key, best = slack, k, inst
+    stats = {
+        "instances": count,
+        **(extra_stats or {}),
+        "min_slack": best_slack,
+        "witness": None if best_slack is None else literal(best),
+    }
+    return VerificationRun(
+        counterexamples=counterexamples,
+        stats=stats,
+        millis=(time.perf_counter() - t0) * 1000.0,
+        **run_fields,
+    )
 
 
 def exhaustive_theorem(
     group: Group,
     theorem: str,
     cap: int = EXHAUSTIVE_SUBSET_CAP,
-    workers: int = 1,
 ) -> VerificationRun:
     """Check `main`, `corollary`, or `kneser-pairs` over every instance."""
-    t0 = time.perf_counter()
     if theorem in ("main", "corollary"):
         if group.order > cap:
             raise CapacityError(
                 f"|G| = {group.order} exceeds subset-enumeration cap {cap}"
             )
         check = main_bound_check if theorem == "main" else corollary_bound
-        instances = range(1 << group.order)
+        instances = (GroupSet(group, mask) for mask in range(1 << group.order))
 
-        def evaluate(mask):
-            A = GroupSet(group, mask)
+        def evaluate(A):
             rep = check(A)
-            slack = rep.lhs - rep.rhs
-            witness = A.literal()
-            payload = {"set": witness, "report": rep.to_dict()}
-            return rep.holds, slack, tuple(A.members()), witness, payload
+            if rep.holds:
+                return rep.lhs - rep.rhs, None
+            return rep.lhs - rep.rhs, {"set": A.literal(), "report": rep.to_dict()}
+
+        key, literal = GroupSet.members, GroupSet.literal
 
     elif theorem == "kneser-pairs":
         if group.order > KNESER_PAIRS_CAP:
             raise CapacityError(
                 f"|G| = {group.order} exceeds pair-enumeration cap {KNESER_PAIRS_CAP}"
             )
-        nonempty = range(1, 1 << group.order)
-        instances = [(a, b) for a in nonempty for b in nonempty]
+        nonempty = [GroupSet(group, mask) for mask in range(1, 1 << group.order)]
+        instances = product(nonempty, repeat=2)
 
-        def evaluate(masks):
-            A = GroupSet(group, masks[0])
-            B = GroupSet(group, masks[1])
-            rep = kneser_bound([A, B])
-            slack = rep.lhs - rep.rhs
-            witness = f"{A.literal()}|{B.literal()}"
-            payload = {"sets": witness, "report": rep.to_dict()}
-            key = (tuple(A.members()), tuple(B.members()))
-            return rep.holds, slack, key, witness, payload
+        def evaluate(pair):
+            rep = kneser_bound(pair)
+            if rep.holds:
+                return rep.lhs - rep.rhs, None
+            payload = {"sets": literal(pair), "report": rep.to_dict()}
+            return rep.lhs - rep.rhs, payload
+
+        def key(pair):
+            return pair[0].members(), pair[1].members()
+
+        def literal(pair):
+            return f"{pair[0].literal()}|{pair[1].literal()}"
 
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
 
-    bad, tracker, count = _run_partitioned(instances, evaluate, workers)
-    run = VerificationRun(
-        theorem=theorem,
-        group=group.spec(),
-        mode="exhaustive",
-        counterexamples=bad,
-        stats={
-            "instances": count,
-            "min_slack": tracker.slack,
-            "witness": tracker.witness,
-        },
+    return _verify(
+        instances, evaluate, literal, key,
+        theorem=theorem, group=group.spec(), mode="exhaustive",
     )
-    run.millis = (time.perf_counter() - t0) * 1000.0
-    return run
 
 
-def random_kneser(
-    groups, m_max: int, trials: int, seed: int, workers: int = 1
-) -> VerificationRun:
+def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun:
     """Seeded random m-tuples (m <= m_max) of nonempty sets, one group each."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     groups = list(groups)
-    rng = random.Random(seed)
-    instances = []
-    for _ in range(trials):
-        g = rng.choice(groups)
-        m = rng.randint(1, m_max)
-        sets = []
-        for _ in range(m):
-            size = rng.randint(1, g.order)
-            sets.append(GroupSet.from_indices(g, rng.sample(range(g.order), size)))
-        instances.append((g, sets))
+
+    def instances():
+        rng = random.Random(seed)
+        for _ in range(trials):
+            g = rng.choice(groups)
+            sets = []
+            for _ in range(rng.randint(1, m_max)):
+                size = rng.randint(1, g.order)
+                sets.append(GroupSet.from_indices(g, rng.sample(range(g.order), size)))
+            yield g, sets
 
     def evaluate(inst):
         g, sets = inst
         rep = kneser_bound(sets)
-        slack = rep.lhs - rep.rhs
-        witness = f"{g.spec()}:" + "|".join(s.literal() for s in sets)
-        payload = {"group": g.spec(), "sets": witness, "report": rep.to_dict()}
-        return rep.holds, slack, witness, witness, payload
+        if rep.holds:
+            return rep.lhs - rep.rhs, None
+        payload = {"group": g.spec(), "sets": literal(inst), "report": rep.to_dict()}
+        return rep.lhs - rep.rhs, payload
 
-    bad, tracker, count = _run_partitioned(instances, evaluate, workers)
-    run = VerificationRun(
-        theorem="kneser",
-        group=";".join(g.spec() for g in groups),
-        mode="random",
-        seed=seed,
-        trials=trials,
-        counterexamples=bad,
-        stats={
-            "instances": count,
-            "min_slack": tracker.slack,
-            "witness": tracker.witness,
-        },
+    def literal(inst):
+        g, sets = inst
+        return f"{g.spec()}:" + "|".join(s.literal() for s in sets)
+
+    return _verify(
+        instances(), evaluate, literal, key=literal,
+        theorem="kneser", group=";".join(g.spec() for g in groups),
+        mode="random", seed=seed, trials=trials,
     )
-    return run
 
 
 def random_sequence_theorem(
-    group: Group, n_max: int, trials: int, seed: int, workers: int = 1
+    group: Group, n_max: int, trials: int, seed: int
 ) -> VerificationRun:
     """Seeded random sequences of length <= n_max, elements uniform."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    instances = []
-    for _ in range(trials):
-        length = rng.randint(0, n_max)
-        instances.append(tuple(rng.randrange(group.order) for _ in range(length)))
 
-    def evaluate(terms):
-        a = SequenceMS.from_terms(group, terms)
+    def instances():
+        rng = random.Random(seed)
+        for _ in range(trials):
+            length = rng.randint(0, n_max)
+            terms = [rng.randrange(group.order) for _ in range(length)]
+            yield SequenceMS.from_terms(group, terms)
+
+    def evaluate(a):
         rep = sequence_bound_check(a)
-        slack = rep.lhs - rep.rhs
-        witness = a.literal()
-        payload = {"sequence": witness, "report": rep.to_dict()}
-        return rep.holds, slack, witness, witness, payload
+        if rep.holds:
+            return rep.lhs - rep.rhs, None
+        return rep.lhs - rep.rhs, {"sequence": a.literal(), "report": rep.to_dict()}
 
-    bad, tracker, count = _run_partitioned(instances, evaluate, workers)
-    run = VerificationRun(
-        theorem="sequence",
-        group=group.spec(),
-        mode="random",
-        seed=seed,
-        trials=trials,
-        counterexamples=bad,
-        stats={
-            "instances": count,
-            "min_slack": tracker.slack,
-            "witness": tracker.witness,
-        },
+    return _verify(
+        instances(), evaluate, SequenceMS.literal, key=SequenceMS.literal,
+        theorem="sequence", group=group.spec(),
+        mode="random", seed=seed, trials=trials,
     )
-    run.millis = (time.perf_counter() - t0) * 1000.0
-    return run
 
 
 def _is_prime(p: int) -> bool:
@@ -318,7 +282,23 @@ def olson_threshold(p: int) -> int:
     return math.isqrt(4 * p - 7)
 
 
-def olson_check(p: int, cap: int = OLSON_CAP, workers: int = 1) -> VerificationRun:
+def _completeness(group, instances, **run_fields) -> VerificationRun:
+    """`_verify` over sorted index tuples whose Sigma must be all of `group`."""
+
+    def evaluate(idxs):
+        sigma = subset_sums(GroupSet.from_indices(group, idxs))
+        if sigma.mask == group.full_mask:
+            return 0, None
+        payload = {"set": literal(idxs), "sigma_size": sigma.card}
+        return sigma.card - group.order, payload
+
+    def literal(idxs):
+        return GroupSet.from_indices(group, idxs).literal()
+
+    return _verify(instances, evaluate, literal, group=group.spec(), **run_fields)
+
+
+def olson_check(p: int, cap: int = OLSON_CAP) -> VerificationRun:
     """All A in Z_p \\ {0} with |A| >= floor(sqrt(4p-7)) must have Sigma = Z_p.
 
     The size condition is read as a lower bound (the completeness
@@ -328,36 +308,13 @@ def olson_check(p: int, cap: int = OLSON_CAP, workers: int = 1) -> VerificationR
         raise ValueError(f"{p} is not prime")
     if p > cap:
         raise CapacityError(f"p = {p} exceeds cap {cap}")
-    t0 = time.perf_counter()
-    group = Group([p])
     t = olson_threshold(p)
     nonzero = range(1, p)
-    instances = [A for k in range(t, p) for A in combinations(nonzero, k)]
-
-    def evaluate(idxs):
-        A = GroupSet.from_indices(group, idxs)
-        sigma = subset_sums(A)
-        ok = sigma.mask == group.full_mask
-        slack = sigma.card - p
-        witness = A.literal()
-        payload = {"set": witness, "sigma_size": sigma.card}
-        return ok, slack, idxs, witness, payload
-
-    bad, tracker, count = _run_partitioned(instances, evaluate, workers)
-    run = VerificationRun(
-        theorem="olson",
-        group=group.spec(),
-        mode="exhaustive",
-        counterexamples=bad,
-        stats={
-            "instances": count,
-            "threshold": t,
-            "min_slack": tracker.slack,
-            "witness": tracker.witness,
-        },
+    instances = (A for k in range(t, p) for A in combinations(nonzero, k))
+    return _completeness(
+        Group([p]), instances, extra_stats={"threshold": t},
+        theorem="olson", mode="exhaustive",
     )
-    run.millis = (time.perf_counter() - t0) * 1000.0
-    return run
 
 
 def olson_witness(p: int) -> dict:
@@ -389,7 +346,6 @@ def vu_check(
     sample: int | None = None,
     seed: int | None = None,
     cap: int = VU_ENUM_CAP,
-    workers: int = 1,
 ) -> VerificationRun:
     """Unit subsets of Z_n of size >= ceil(8 sqrt(n)) must have Sigma = Z_n."""
     if n < 2:
@@ -400,59 +356,36 @@ def vu_check(
     units = [a for a in range(1, n) if math.gcd(a, n) == 1]
     phi = len(units)
     if phi < t:
-        run = VerificationRun(
+        return VerificationRun(
             theorem="vu",
             group=group.spec(),
             mode="exhaustive",
             stats={"instances": 0, "threshold": t, "phi": phi, "vacuous": True},
+            millis=(time.perf_counter() - t0) * 1000.0,
         )
-        run.millis = (time.perf_counter() - t0) * 1000.0
-        return run
 
     total = sum(math.comb(phi, k) for k in range(t, phi + 1))
     if total <= cap:
-        mode = "exhaustive"
-        instances = [A for k in range(t, phi + 1) for A in combinations(units, k)]
-    else:
-        if sample is None or seed is None:
-            raise CapacityError(
-                f"{total} qualifying subsets exceed cap {cap}; "
-                "pass sample and seed for randomized mode"
-            )
-        mode = "random"
+        instances = (A for k in range(t, phi + 1) for A in combinations(units, k))
+        return _completeness(
+            group, instances, extra_stats={"threshold": t, "phi": phi},
+            theorem="vu", mode="exhaustive",
+        )
+    if sample is None or seed is None:
+        raise CapacityError(
+            f"{total} qualifying subsets exceed cap {cap}; "
+            "pass sample and seed for randomized mode"
+        )
+
+    def sampled():
         rng = random.Random(seed)
-        instances = []
         for _ in range(sample):
-            k = rng.randint(t, phi)
-            instances.append(tuple(sorted(rng.sample(units, k))))
+            yield tuple(sorted(rng.sample(units, rng.randint(t, phi))))
 
-    def evaluate(idxs):
-        A = GroupSet.from_indices(group, idxs)
-        sigma = subset_sums(A)
-        ok = sigma.mask == group.full_mask
-        slack = sigma.card - n
-        witness = A.literal()
-        payload = {"set": witness, "sigma_size": sigma.card}
-        return ok, slack, idxs, witness, payload
-
-    bad, tracker, count = _run_partitioned(instances, evaluate, workers)
-    run = VerificationRun(
-        theorem="vu",
-        group=group.spec(),
-        mode=mode,
-        seed=seed if mode == "random" else None,
-        trials=sample if mode == "random" else None,
-        counterexamples=bad,
-        stats={
-            "instances": count,
-            "threshold": t,
-            "phi": phi,
-            "min_slack": tracker.slack,
-            "witness": tracker.witness,
-        },
+    return _completeness(
+        group, sampled(), extra_stats={"threshold": t, "phi": phi},
+        theorem="vu", mode="random", seed=seed, trials=sample,
     )
-    run.millis = (time.perf_counter() - t0) * 1000.0
-    return run
 
 
 def interval_example(n: int) -> dict:

@@ -253,6 +253,18 @@ def test_fold_to_quotient():
     assert fold_to_quotient(gset(g, [1, 4]), h).members() == [1]
 
 
+def test_folds_by_same_subgroup_share_a_group():
+    # two separate folds by H = <4> in Z12 land in one group G/H, so they
+    # add, and folding commutes with the sumset
+    g = make_group([12])
+    h = Subgroup(g, [0, 4, 8])
+    A, B = gset(g, [1, 2]), gset(g, [3])
+    fa, fb = fold_to_quotient(A, h), fold_to_quotient(B, h)
+    assert fa.group == fb.group and hash(fa.group) == hash(fb.group)
+    assert sumset(fa, fb) == fold_to_quotient(sumset(A, B), h)
+    assert fa.group != fold_to_quotient(A, Subgroup(g, [0, 6])).group
+
+
 def test_quotient_consistency_with_sigma():
     # |Sigma(A)| = |H| * |fold(Sigma(A), H)| when H = stab(Sigma(A))
     g = make_group([12])
