@@ -9,7 +9,6 @@ from .groups import (
     InvalidGroupError,
     InvalidSubgroupError,
     Quotient,
-    QuotientGroup,
     Subgroup,
     add,
     make_group,

@@ -104,6 +104,8 @@ def _cmd_bound(args) -> int:
             [f"N({args.u}) = {value}  (bound: N/16 = {value}/16)"],
         )
         return 0
+    if args.group is None:
+        raise ValueError(f"{args.which} bound needs --group")
     group = parse_group(args.group)
     if args.which == "kneser":
         if not args.set:
@@ -132,6 +134,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.group is None and args.theorem not in ("olson", "vu", "interval"):
+        raise ValueError(f"verify {args.theorem} needs --group")
     if args.theorem in ("main", "corollary", "kneser-pairs"):
         group = parse_group(args.group)
         run = vf.exhaustive_theorem(group, args.theorem)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .groups import CapacityError, Element, GenerationError, Quotient, Subgroup, quotient
+from .groups import CapacityError, Element, GenerationError, Subgroup, quotient
 from .setcalc import (
     GroupSet,
     _iter_bits,
@@ -136,7 +136,7 @@ def hard_bound_diagnostic(C: GroupSet, S: GroupSet) -> dict:
     return {"r": r, "d_size": D.card, "df": df, "holds": D.card >= 2 * df}
 
 
-def classify_cosets(S: GroupSet, H: Subgroup, u: int, q: Quotient | None = None):
+def classify_cosets(S: GroupSet, H: Subgroup, u: int):
     """Label every H-coset sparse/dense/balanced/empty at thresholds (u+1)/4.
 
     Sparse: 0 < 4*|Q & S| < u+1.  Dense: 4*|Q \\ S| < u+1.  Overlaps
@@ -145,8 +145,7 @@ def classify_cosets(S: GroupSet, H: Subgroup, u: int, q: Quotient | None = None)
     """
     if u < 0:
         raise ValueError("u must be nonnegative")
-    if q is None:
-        q = quotient(S.group, H)
+    q = quotient(S.group, H)
     out = []
     for c in range(q.num_cosets):
         qmask = q.coset_mask(c)
@@ -168,16 +167,13 @@ def classify_cosets(S: GroupSet, H: Subgroup, u: int, q: Quotient | None = None)
     return out
 
 
-def dense_graph(
-    b: Element, S: GroupSet, H: Subgroup, u: int, q: Quotient | None = None
-) -> DenseGraph:
+def dense_graph(b: Element, S: GroupSet, H: Subgroup, u: int) -> DenseGraph:
     """Cayley subgraph on the dense H-cosets with generator b + H."""
-    if q is None:
-        q = quotient(S.group, H)
-    classes = classify_cosets(S, H, u, q)
+    classes = classify_cosets(S, H, u)
     W = tuple(cc.coset for cc in classes if cc.label == "dense")
     wset = set(W)
-    bcoset = q.coset_of[b.index]
+    q = quotient(S.group, H)
+    bcoset = q.project(b.index)
     qg = q.quotient_group
     arcs = tuple(
         (c, qg.add_index(c, bcoset)) for c in W if qg.add_index(c, bcoset) in wset

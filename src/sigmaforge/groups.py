@@ -1,14 +1,15 @@
 """Finite abelian groups presented by invariant factors.
 
 A group Z_{n1} x ... x Z_{nk} stores its elements as mixed-radix indices
-in [0, order), so that subsets can live in flat bitmaps (python ints).
-Quotient groups are represented by coset-index relabeling of an ambient
-group; they support the same arithmetic interface but not the rotation
-fast path used by the set kernels.
+in [0, order), so that subsets can live in flat bitmaps (python ints), and
+translating a subset is a per-digit rotation of its bitmap (`_shift_mask`).
+A quotient G/H is an ordinary group on its invariant factors, read off the
+Smith normal form of H's lattice, together with the projection G -> G/H.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -119,17 +120,56 @@ class Group:
         return ",".join(str(r) for r in self.decode(index))
 
     def __eq__(self, other):
-        return (
-            type(self) is Group
-            and type(other) is Group
-            and self.factors == other.factors
-        )
+        return isinstance(other, Group) and self.factors == other.factors
 
     def __hash__(self):
         return hash(self.factors)
 
     def __repr__(self):
         return f"Group({self.spec()})"
+
+
+# -- bitmap rotation kernel ------------------------------------------------
+
+
+def _block_starts(group: Group, level: int) -> int:
+    """Bitmap of the indices whose digits at and below `level` are all 0."""
+    unit = group._rot_cache.get(level)  # rotations use (level, s) keys
+    if unit is None:
+        unit, width = 1, group.factors[level] * group.strides[level]
+        while width < group.order:
+            unit |= unit << width
+            width *= 2
+        unit &= group.full_mask
+        group._rot_cache[level] = unit
+    return unit
+
+
+def _shift_mask(group: Group, mask: int, g: int) -> int:
+    """Bitmap of {x + g : x in mask}."""
+    if g == 0 or mask == 0:
+        return mask
+    for level, (n, stride) in enumerate(zip(group.factors, group.strides)):
+        s = (g // stride) % n
+        if s:
+            mask = _rotate_level(group, mask, level, s)
+    return mask
+
+
+def _rotate_level(group: Group, mask: int, level: int, s: int) -> int:
+    # rotate the digit at `level` by s, simultaneously in every block
+    key = (level, s)
+    cached = group._rot_cache.get(key)
+    if cached is None:
+        block = group.factors[level] * group.strides[level]
+        sb = s * group.strides[level]
+        unit = _block_starts(group, level)
+        low = ((1 << (block - sb)) - 1) * unit
+        high = (((1 << block) - 1) ^ ((1 << (block - sb)) - 1)) * unit
+        cached = (low, high, sb, block - sb)
+        group._rot_cache[key] = cached
+    low, high, up, down = cached
+    return ((mask & low) << up) | ((mask & high) >> down)
 
 
 @dataclass(frozen=True)
@@ -203,20 +243,7 @@ class Subgroup:
         self.members = members
         self.mask = mask
         if validate:
-            self._validate()
-
-    def _validate(self):
-        g = self.group
-        if not self.members or self.members[0] != 0:
-            raise InvalidSubgroupError("subgroup must contain 0")
-        for a in self.members:
-            if not self.mask >> g.neg_index(a) & 1:
-                raise InvalidSubgroupError("not closed under negation")
-            for b in self.members:
-                if not self.mask >> g.add_index(a, b) & 1:
-                    raise InvalidSubgroupError("not closed under addition")
-        if g.order % len(self.members):
-            raise InvalidSubgroupError("order does not divide group order")
+            quotient(group, self)  # raises InvalidSubgroupError if not closed
 
     def __len__(self):
         return len(self.members)
@@ -247,105 +274,122 @@ class Subgroup:
         return cls(group, (0,), validate=False)
 
 
-class QuotientGroup(Group):
-    """G/H with elements indexed by coset number; arithmetic via reps."""
-
-    __slots__ = ("ambient", "subgroup", "coset_of", "reps")
-
-    def __init__(self, ambient, subgroup, coset_of, reps):
-        self.ambient = ambient
-        self.subgroup = subgroup
-        self.coset_of = coset_of
-        self.reps = reps
-        self.factors = None
-        self.order = len(reps)
-        self.strides = None
-        self.full_mask = (1 << self.order) - 1
-        self._rot_cache = {}
-
-    def decode(self, index):
-        return (index,)
-
-    def encode(self, coords):
-        (index,) = tuple(coords)
-        return int(index)
-
-    def add_index(self, i, j):
-        amb = self.ambient
-        return self.coset_of[amb.add_index(self.reps[i], self.reps[j])]
-
-    def neg_index(self, i):
-        return self.coset_of[self.ambient.neg_index(self.reps[i])]
-
-    def spec(self):
-        return f"{self.ambient.spec()}/H{len(self.subgroup)}"
-
-    def element_literal(self, index):
-        return str(index)
-
-    # `quotient()` numbers the cosets deterministically from (G, H), so two
-    # quotients by the same subgroup are the same group, index for index.
-    def __eq__(self, other):
-        return (
-            type(other) is QuotientGroup
-            and self.ambient == other.ambient
-            and self.subgroup.mask == other.subgroup.mask
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.subgroup.mask))
-
-    def __repr__(self):
-        return f"QuotientGroup({self.spec()})"
-
-
 class Quotient:
-    """Coset partition of a group by a subgroup."""
+    """G/H as a plain `Group` on its invariant factors, plus the projection.
 
-    __slots__ = ("group", "subgroup", "coset_of", "reps", "quotient_group")
+    The rows of M span the lattice L = {x in Z^k : x mod n in H}; for the
+    Smith form U·M·Q = diag(d_1, ..., d_k) (U, Q unimodular), x -> x·Q
+    maps Z^k onto Z^k with L onto d_1 Z x ... x d_k Z, so `project`
+    (x -> x·Q mod d) is onto G/H with kernel exactly H.  Factors d_i = 1
+    are dropped; the trivial quotient is Z1.
+    """
 
-    def __init__(self, group, subgroup, coset_of, reps):
+    __slots__ = ("group", "subgroup", "quotient_group", "_columns", "_rows")
+
+    def __init__(self, group, subgroup, diag, q, q_inv):
         self.group = group
         self.subgroup = subgroup
-        self.coset_of = coset_of
-        self.reps = reps
-        self.quotient_group = QuotientGroup(group, subgroup, coset_of, reps)
+        kept = [t for t, d in enumerate(diag) if d > 1] or [len(diag) - 1]
+        self.quotient_group = Group(diag[t] for t in kept)
+        # column t of Q and row t of Q^-1 for each factor d_t of G/H
+        self._columns = [[row[t] for row in q] for t in kept]
+        self._rows = [q_inv[t] for t in kept]
 
     @property
     def num_cosets(self):
-        return len(self.reps)
+        return self.quotient_group.order
+
+    def project(self, i: int) -> int:
+        """Index in G/H of the coset of the element with index i."""
+        x, qg = self.group.decode(i), self.quotient_group
+        return qg.encode(
+            sum(a * b for a, b in zip(x, col)) % d
+            for col, d in zip(self._columns, qg.factors)
+        )
+
+    def lift(self, c: int) -> int:
+        """Index in G of a representative of coset c; `project(lift(c)) == c`."""
+        y = self.quotient_group.decode(c)
+        return self.group.encode(
+            sum(a * row[j] for a, row in zip(y, self._rows)) % n
+            for j, n in enumerate(self.group.factors)
+        )
 
     def coset_mask(self, c: int) -> int:
         """Bitmap (in the ambient group) of the members of coset c."""
-        g = self.group
-        mask = 0
-        rep = self.reps[c]
-        for h in self.subgroup.members:
-            mask |= 1 << g.add_index(rep, h)
-        return mask
+        return _shift_mask(self.group, self.subgroup.mask, self.lift(c))
 
 
 def quotient(group: Group, H: Subgroup) -> Quotient:
-    """Partition `group` into H-cosets; coset 0 is H itself."""
+    """G/H from a triangular lattice basis and its Smith normal form.
+
+    Row j of the basis is a member of H whose coordinates below j are 0 and
+    whose coordinate j is the least divisor c_j of n_j any such member has
+    (n_j e_j if none has one).  If H + row == H for every row and
+    |H| * prod(c_j) == |G|, the rows generate a subgroup K of H with
+    |K| >= |G| / prod(c_j) = |H|, so H = K is a subgroup.
+    """
     if H.group != group:
         raise GroupMismatchError("subgroup of a different group")
-    if not H.members or H.members[0] != 0:
+    if not H.mask & 1:
         raise InvalidSubgroupError("subgroup must contain 0")
-    coset_of = [-1] * group.order
-    reps = []
-    for i in range(group.order):
-        if coset_of[i] >= 0:
-            continue
-        c = len(reps)
-        reps.append(i)
-        for h in H.members:
-            j = group.add_index(i, h)
-            if coset_of[j] >= 0 and coset_of[j] != c:
-                raise InvalidSubgroupError("member set is not a subgroup")
-            coset_of[j] = c
-    if len(reps) * len(H) != group.order:
+    k = len(group.factors)
+    rows = []
+    for level, (n, stride) in enumerate(zip(group.factors, group.strides)):
+        unit = _block_starts(group, level)
+        rows.append([n * (j == level) for j in range(k)])
+        low = [c for c in range(1, math.isqrt(n) + 1) if n % c == 0]
+        for c in sorted({*low, *(n // c for c in low)})[:-1]:  # divisors < n
+            if hits := H.mask >> c * stride & unit:
+                g = (hits & -hits).bit_length() - 1 + c * stride
+                if _shift_mask(group, H.mask, g) != H.mask:
+                    raise InvalidSubgroupError("member set is not a subgroup")
+                rows[level] = list(group.decode(g))
+                break
+    if math.prod(r[j] for j, r in enumerate(rows)) * len(H) != group.order:
         raise InvalidSubgroupError("member set is not a subgroup")
-    return Quotient(group, H, coset_of, reps)
+    return Quotient(group, H, *_smith(rows))
+
+
+def _smith(m):
+    """Smith form of the nonsingular square matrix m (modified in place).
+
+    Returns (d, Q, Q^-1): d_1 | d_2 | ... > 0 and unimodular Q with
+    U·m·Q = diag(d) for some unimodular U, which is never formed.
+    """
+    k = len(m)
+    q = [[int(i == j) for j in range(k)] for i in range(k)]
+    q_inv = [row[:] for row in q]
+    for t in range(k):
+        while True:
+            # move the least nonzero |entry| of the trailing block to (t, t)
+            _, i, j = min(
+                (abs(m[i][j]), i, j)
+                for i in range(t, k)
+                for j in range(t, k)
+                if m[i][j]
+            )
+            m[t], m[i] = m[i], m[t]
+            for row in m + q:
+                row[t], row[j] = row[j], row[t]
+            q_inv[t], q_inv[j] = q_inv[j], q_inv[t]
+            p = m[t][t]
+            # reduce column t by row operations and row t by column operations
+            for i in range(t + 1, k):
+                if f := m[i][t] // p:
+                    m[i] = [a - f * b for a, b in zip(m[i], m[t])]
+            for j in range(t + 1, k):
+                if f := m[t][j] // p:
+                    for row in m + q:
+                        row[j] -= f * row[t]
+                    q_inv[t] = [a + f * b for a, b in zip(q_inv[t], q_inv[j])]
+            if any(m[i][t] for i in range(t + 1, k)) or any(m[t][t + 1 :]):
+                continue  # a remainder is the next, smaller pivot
+            bad = next((r for r in m[t + 1 :] if any(a % p for a in r)), None)
+            if bad is None:
+                break
+            m[t] = [a + b for a, b in zip(m[t], bad)]  # until d_t divides bad
+    return [abs(m[t][t]) for t in range(k)], q, q_inv
 
 
 # -- text formats ----------------------------------------------------------
@@ -362,12 +406,10 @@ def parse_group(spec: str) -> Group:
 
 
 def parse_element(group: Group, literal: str) -> Element:
-    parts = [p.strip() for p in literal.split(",")]
-    if len(parts) == 1 and group.factors is not None and len(group.factors) > 1:
+    parts = literal.split(",")
+    if len(parts) != len(group.factors):
         raise ValueError(
             f"element {literal!r} needs {len(group.factors)} coordinates"
         )
-    coords = [int(p) for p in parts]
-    if group.factors is not None:
-        coords = [r % n for r, n in zip(coords, group.factors)]
+    coords = [int(p) % n for p, n in zip(parts, group.factors)]
     return Element(group, group.encode(coords))

@@ -1,9 +1,10 @@
 """Exact set algebra over bit-packed subsets of a finite abelian group.
 
 Sets are python ints used as bitmaps over element indices.  The workhorse
-is `_shift_mask`: translating a set by a group element is a mixed-radix
-rotation of its bitmap, done per invariant factor with word-level
-shift/or, so a sumset costs O(|B|) big-int rotations.
+is `groups._shift_mask`: translating a set by a group element is a
+mixed-radix rotation of its bitmap, done per invariant factor with
+word-level shift/or, so a sumset costs O(|B|) big-int rotations.  It lives
+in `groups` with the strides and rotation masks it reads.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from .groups import (
     Element,
     Group,
     GroupMismatchError,
-    Quotient,
-    QuotientGroup,
     Subgroup,
+    _shift_mask,
     quotient,
 )
 
@@ -154,40 +154,6 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def _shift_mask(group: Group, mask: int, g: int) -> int:
-    """Bitmap of {x + g : x in mask}."""
-    if g == 0 or mask == 0:
-        return mask
-    if isinstance(group, QuotientGroup):
-        out = 0
-        for x in _iter_bits(mask):
-            out |= 1 << group.add_index(x, g)
-        return out
-    for level, (n, stride) in enumerate(zip(group.factors, group.strides)):
-        s = (g // stride) % n
-        if s:
-            mask = _rotate_level(group, mask, level, s)
-    return mask
-
-
-def _rotate_level(group: Group, mask: int, level: int, s: int) -> int:
-    # rotate the digit at `level` by s, simultaneously in every block
-    key = (level, s)
-    cached = group._rot_cache.get(key)
-    if cached is None:
-        n = group.factors[level]
-        stride = group.strides[level]
-        block = n * stride
-        sb = s * stride
-        unit = ((1 << group.order) - 1) // ((1 << block) - 1)
-        low = ((1 << (block - sb)) - 1) * unit
-        high = (((1 << block) - 1) ^ ((1 << (block - sb)) - 1)) * unit
-        cached = (low, high, sb, block - sb)
-        group._rot_cache[key] = cached
-    low, high, up, down = cached
-    return ((mask & low) << up) | ((mask & high) >> down)
-
-
 def _check_same(a: GroupSet, b) -> None:
     bg = b.group if isinstance(b, (GroupSet, Element, SequenceMS)) else b
     if a.group != bg:
@@ -290,35 +256,25 @@ def deficiency(S: GroupSet, Q: GroupSet) -> int:
     return min((Q.mask & S.mask).bit_count(), (Q.mask & ~S.mask).bit_count())
 
 
-def coset_profile(a: SequenceMS, H: Subgroup, q: Quotient | None = None) -> CosetProfile:
+def coset_profile(a: SequenceMS, H: Subgroup) -> CosetProfile:
     """Counts of nontrivial H-cosets holding >= j terms, for j = 1, 2, ..."""
     if H.group != a.group:
         raise GroupMismatchError("subgroup of a different group")
-    if q is None:
-        q = quotient(a.group, H)
+    q = quotient(a.group, H)
     counts = Counter()
     for x, m in a.mult.items():
-        c = q.coset_of[x]
-        if c != 0:
-            counts[c] += m
-    rho = []
-    j = 1
-    while True:
-        r = sum(1 for v in counts.values() if v >= j)
-        if r == 0:
-            break
-        rho.append(r)
-        j += 1
+        counts[q.project(x)] += m
+    counts.pop(0, None)  # terms inside H
+    rho = (
+        sum(v >= j for v in counts.values())
+        for j in range(1, max(counts.values(), default=0) + 1)
+    )
     return CosetProfile(H, tuple(rho))
 
 
-def fold_to_quotient(S: GroupSet, H: Subgroup, q: Quotient | None = None) -> GroupSet:
+def fold_to_quotient(S: GroupSet, H: Subgroup) -> GroupSet:
     """Image of S in G/H, as a set over the quotient group."""
     if H.group != S.group:
         raise GroupMismatchError("subgroup of a different group")
-    if q is None:
-        q = quotient(S.group, H)
-    mask = 0
-    for x in _iter_bits(S.mask):
-        mask |= 1 << q.coset_of[x]
-    return GroupSet(q.quotient_group, mask)
+    q = quotient(S.group, H)
+    return GroupSet.from_indices(q.quotient_group, map(q.project, _iter_bits(S.mask)))

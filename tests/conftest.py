@@ -57,3 +57,19 @@ def naive_closure(group, gens):
         if nxt == cur:
             return sorted(cur)
         cur = nxt
+
+
+def naive_quotient(group, members):
+    """Cosets of a subgroup numbered in order of first appearance.
+
+    Returns (coset_of, reps): coset_of[i] is the coset number of element i,
+    reps[c] the least element of coset c.
+    """
+    coset_of = [-1] * group.order
+    reps = []
+    for i in range(group.order):
+        if coset_of[i] < 0:
+            for h in members:
+                coset_of[group.add_index(i, h)] = len(reps)
+            reps.append(i)
+    return coset_of, reps

@@ -162,6 +162,23 @@ def test_construct_greedy_replays(capsys):
     assert out2 == out
 
 
+def test_element_with_wrong_coordinate_count_exit_2(capsys):
+    code, _, err = run(capsys, "sigma", "--group", "Z12", "--set", "1,2")
+    assert code == 2
+    assert "coordinates" in err
+
+
+def test_missing_group_exit_2(capsys):
+    commands = [("bound", "--which", w, "--set", "1", "--seq", "1")
+                for w in ("main", "corollary", "kneser", "sequence")]
+    commands += [("verify", t, "--seed", "1")
+                 for t in ("main", "corollary", "kneser-pairs", "kneser", "sequence")]
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "needs --group" in err, argv
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "bogus")[0] == 2
 

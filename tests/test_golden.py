@@ -90,6 +90,12 @@ CASES = {
         ),
         "e56e0bae7fc2bfc7b5d022a0d9cf1a96f179a1dcc74544afe52499333ad19818",
     ),
+    "random-sequence-Z2xZ4xZ8": (
+        lambda: random_sequence_theorem(
+            parse_group("Z2xZ4xZ8"), n_max=10, trials=100, seed=3
+        ),
+        "3be209f0bfce6cd4a93a02d79bc6abd974a3c80dfb8dfd83090370e64cb0f03f",
+    ),
 }
 
 # Every theorem above holds, so no case lists a counterexample.  Lowering a

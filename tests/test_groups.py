@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sigmaforge import (
     GroupMismatchError,
@@ -16,7 +16,7 @@ from sigmaforge import (
     quotient,
     zero,
 )
-from conftest import naive_closure
+from conftest import naive_closure, naive_quotient
 
 
 def test_make_group_orders():
@@ -108,6 +108,22 @@ def test_quotient_rejects_non_subgroup():
     g = make_group([6])
     with pytest.raises(InvalidSubgroupError):
         Subgroup(g, [0, 1])  # not closed
+    g24 = make_group([2, 4])
+    for group, members in ((g, [0, 1]), (g, [0, 2]), (g24, [0, 1, 3, 4])):
+        with pytest.raises(InvalidSubgroupError):
+            quotient(group, Subgroup(group, members, validate=False))
+
+
+@given(st.sampled_from([(12,), (4, 6), (2, 4, 2)]), st.data())
+def test_quotient_accepts_exactly_the_subgroups(factors, data):
+    g = make_group(factors)
+    members = {0} | data.draw(st.sets(st.integers(0, g.order - 1), max_size=8))
+    H = Subgroup(g, members, validate=False)
+    if naive_closure(g, members) == sorted(members):
+        assert quotient(g, H).num_cosets * len(H) == g.order
+    else:
+        with pytest.raises(InvalidSubgroupError):
+            quotient(g, H)
 
 
 def test_quotient_cosets_have_subgroup_size():
@@ -127,6 +143,47 @@ def test_quotient_group_arithmetic():
     assert qg.neg_index(1) == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(12,), (4, 6), (6, 4), (2, 4, 8), (3, 3, 2)]), st.data())
+def test_quotient_matches_coset_oracle(factors, data):
+    g = make_group(factors)
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+    H = generated_subgroup(g, GroupSet.from_indices(g, gens))
+    q = quotient(g, H)
+    qg = q.quotient_group
+    d = qg.factors
+    assert qg.order * len(H) == g.order
+    assert d == (1,) or all(n > 1 for n in d)
+    assert all(b % a == 0 for a, b in zip(d, d[1:]))
+    proj = [q.project(i) for i in range(g.order)]
+    for i in range(g.order):
+        for j in range(g.order):
+            assert proj[g.add_index(i, j)] == qg.add_index(proj[i], proj[j])
+    # equal projections exactly when the oracle puts i and j in one coset
+    coset_of, reps = naive_quotient(g, H.members)
+    assert len(set(zip(coset_of, proj))) == len(reps) == qg.order
+    for c in range(qg.order):
+        rep = q.lift(c)
+        assert proj[rep] == c
+        oracle = sum(1 << i for i in range(g.order) if coset_of[i] == coset_of[rep])
+        assert q.coset_mask(c) == oracle
+    assert parse_group(qg.spec()) == qg
+
+
+def test_quotient_group_is_a_plain_group():
+    g = make_group([2, 2])
+    a = quotient(g, Subgroup(g, [0, g.encode((1, 0))]))
+    b = quotient(g, Subgroup(g, [0, g.encode((0, 1))]))
+    # the same group Z2, with different projections
+    assert a.quotient_group == b.quotient_group == make_group([2])
+    assert a.project(g.encode((0, 1))) == b.project(g.encode((1, 0))) == 1
+    assert a.project(g.encode((1, 0))) == b.project(g.encode((0, 1))) == 0
+    assert quotient(g, Subgroup.whole(g)).quotient_group.spec() == "Z1"
+    # G/{0} is G on its invariant factors
+    h = make_group([4, 2])
+    assert quotient(h, Subgroup.trivial(h)).quotient_group.factors == (2, 4)
+
+
 def test_parse_group():
     assert parse_group("Z6").factors == (6,)
     assert parse_group("z12xZ2").factors == (12, 2)
@@ -141,6 +198,10 @@ def test_parse_element():
     assert parse_element(g5, "7").index == 2
     with pytest.raises(ValueError):
         parse_element(g, "3")
+    with pytest.raises(ValueError):
+        parse_element(parse_group("Z12"), "1,2")
+    with pytest.raises(ValueError):
+        parse_element(parse_group("Z2xZ3"), "1,1,1")
 
 
 def test_capacity_cap(monkeypatch):
