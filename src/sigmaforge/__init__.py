@@ -6,6 +6,7 @@ from .groups import (
     GenerationError,
     Group,
     GroupMismatchError,
+    GroupSet,
     InvalidGroupError,
     InvalidSubgroupError,
     Quotient,
@@ -20,7 +21,6 @@ from .groups import (
 )
 from .setcalc import (
     CosetProfile,
-    GroupSet,
     SequenceMS,
     coset_profile,
     deficiency,

@@ -67,9 +67,8 @@ def kneser_bound(sets) -> BoundReport:
     for A in sets[1:]:
         total = sumset(total, A)
     H = stabilizer(total)
-    hset = GroupSet(group, H.mask)
     m = len(sets)
-    saturated = [sumset(A, hset).card for A in sets]
+    saturated = [sumset(A, H).card for A in sets]
     rhs = len(H) * (1 - m) + sum(saturated)
     return _report(
         "kneser",

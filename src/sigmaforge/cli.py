@@ -78,7 +78,7 @@ def _cmd_sigma(args) -> int:
         "group": group.spec(),
         "sigma": sigma.literal(),
         "sigma_size": sigma.card,
-        "stabilizer": ";".join(group.element_literal(m) for m in H.members),
+        "stabilizer": H.literal(),
         "stabilizer_size": len(H),
     }
     _emit(

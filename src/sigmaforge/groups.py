@@ -3,8 +3,11 @@
 A group Z_{n1} x ... x Z_{nk} stores its elements as mixed-radix indices
 in [0, order), so that subsets can live in flat bitmaps (python ints), and
 translating a subset is a per-digit rotation of its bitmap (`_shift_mask`).
-A quotient G/H is an ordinary group on its invariant factors, read off the
-Smith normal form of H's lattice, together with the projection G -> G/H.
+Every subset of a group is a `GroupSet` on that bitmap; a `Subgroup` is a
+`GroupSet` known to be closed, so a subgroup equals, hashes like and adds
+with the plain set of the same elements.  A quotient G/H is an ordinary
+group on its invariant factors, read off the Smith normal form of H's
+lattice, together with the projection G -> G/H.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ class Group:
         return f"Group({self.spec()})"
 
 
-# -- bitmap rotation kernel ------------------------------------------------
+# -- bitmaps over the mixed-radix layout ----------------------------------
 
 
 def _block_starts(group: Group, level: int) -> int:
@@ -170,6 +173,87 @@ def _rotate_level(group: Group, mask: int, level: int, s: int) -> int:
         group._rot_cache[key] = cached
     low, high, up, down = cached
     return ((mask & low) << up) | ((mask & high) >> down)
+
+
+class GroupSet:
+    """A subset of a group as a flat bitmap with cached cardinality."""
+
+    __slots__ = ("group", "mask", "_card")
+
+    def __init__(self, group: Group, mask: int = 0):
+        if mask < 0 or mask >> group.order:
+            raise ValueError("mask has bits outside the group")
+        self.group = group
+        self.mask = mask
+        self._card = None
+
+    @classmethod
+    def from_indices(cls, group, indices):
+        mask = 0
+        for i in indices:
+            if isinstance(i, Element):
+                if i.group != group:
+                    raise GroupMismatchError("element from a different group")
+                i = i.index
+            else:
+                i = int(i)
+            if not 0 <= i < group.order:
+                raise ValueError(f"element index {i} out of range")
+            mask |= 1 << i
+        return cls(group, mask)
+
+    @classmethod
+    def full(cls, group):
+        return cls(group, group.full_mask)
+
+    @property
+    def card(self) -> int:
+        if self._card is None:
+            self._card = self.mask.bit_count()
+        return self._card
+
+    def members(self):
+        return list(_iter_bits(self.mask))
+
+    def elements(self):
+        return [Element(self.group, i) for i in _iter_bits(self.mask)]
+
+    def complement(self) -> "GroupSet":
+        return GroupSet(self.group, self.group.full_mask ^ self.mask)
+
+    def literal(self) -> str:
+        """Canonical text form: sorted element literals joined by `;`."""
+        return ";".join(self.group.element_literal(i) for i in _iter_bits(self.mask))
+
+    def __contains__(self, x):
+        if isinstance(x, Element):
+            if x.group != self.group:
+                raise GroupMismatchError("element from a different group")
+            x = x.index
+        return bool(self.mask >> int(x) & 1)
+
+    def __len__(self):
+        return self.card
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GroupSet)
+            and self.group == other.group
+            and self.mask == other.mask
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.mask))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.group.spec()}, {{{self.literal()}}})"
+
+
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -227,51 +311,23 @@ def neg(group: Group, a: Element) -> Element:
     return -a
 
 
-class Subgroup:
-    """A subgroup as a sorted member list plus a bitmap."""
+class Subgroup(GroupSet):
+    """A `GroupSet` closed under the group operations.
 
-    __slots__ = ("group", "members", "mask")
+    `validate=False` is for sets closed by construction (stabilizers,
+    closures); anything else is checked by `quotient`.
+    """
 
-    def __init__(self, group, members, validate=True):
-        members = tuple(sorted(set(int(m) for m in members)))
-        mask = 0
-        for m in members:
-            if not 0 <= m < group.order:
-                raise InvalidSubgroupError(f"element {m} out of range")
-            mask |= 1 << m
-        self.group = group
-        self.members = members
-        self.mask = mask
+    __slots__ = ()
+
+    def __init__(self, group, mask, validate=True):
+        super().__init__(group, mask)
         if validate:
             quotient(group, self)  # raises InvalidSubgroupError if not closed
 
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, x):
-        i = x.index if isinstance(x, Element) else int(x)
-        return bool(self.mask >> i & 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.group == other.group
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.mask))
-
-    def __repr__(self):
-        return f"Subgroup({{{', '.join(map(str, self.members))}}})"
-
-    @classmethod
-    def whole(cls, group):
-        return cls(group, range(group.order), validate=False)
-
     @classmethod
     def trivial(cls, group):
-        return cls(group, (0,), validate=False)
+        return cls(group, 1, validate=False)
 
 
 class Quotient:

@@ -1,10 +1,11 @@
-"""Exact set algebra over bit-packed subsets of a finite abelian group.
+"""Sequences and exact set algebra over bit-packed subsets of a group.
 
-Sets are python ints used as bitmaps over element indices.  The workhorse
-is `groups._shift_mask`: translating a set by a group element is a
+Sets are `groups.GroupSet` bitmaps over element indices (a `Subgroup` is
+one too); sequences are `SequenceMS` multisets.  The workhorse is
+`groups._shift_mask`: translating a set by a group element is a
 mixed-radix rotation of its bitmap, done per invariant factor with
 word-level shift/or, so a sumset costs O(|B|) big-int rotations.  It lives
-in `groups` with the strides and rotation masks it reads.
+in `groups` with `GroupSet`, the strides and the rotation masks it reads.
 """
 
 from __future__ import annotations
@@ -16,76 +17,12 @@ from .groups import (
     Element,
     Group,
     GroupMismatchError,
+    GroupSet,
     Subgroup,
+    _iter_bits,
     _shift_mask,
     quotient,
 )
-
-
-class GroupSet:
-    """A subset of a group as a flat bitmap with cached cardinality."""
-
-    __slots__ = ("group", "mask", "_card")
-
-    def __init__(self, group: Group, mask: int = 0):
-        if mask < 0 or mask >> group.order:
-            raise ValueError("mask has bits outside the group")
-        self.group = group
-        self.mask = mask
-        self._card = None
-
-    @classmethod
-    def from_indices(cls, group, indices):
-        mask = 0
-        for i in indices:
-            i = i.index if isinstance(i, Element) else int(i)
-            if not 0 <= i < group.order:
-                raise ValueError(f"element index {i} out of range")
-            mask |= 1 << i
-        return cls(group, mask)
-
-    @classmethod
-    def full(cls, group):
-        return cls(group, group.full_mask)
-
-    @property
-    def card(self) -> int:
-        if self._card is None:
-            self._card = self.mask.bit_count()
-        return self._card
-
-    def members(self):
-        return list(_iter_bits(self.mask))
-
-    def elements(self):
-        return [Element(self.group, i) for i in _iter_bits(self.mask)]
-
-    def complement(self) -> "GroupSet":
-        return GroupSet(self.group, self.group.full_mask ^ self.mask)
-
-    def literal(self) -> str:
-        """Canonical text form: sorted element literals joined by `;`."""
-        return ";".join(self.group.element_literal(i) for i in _iter_bits(self.mask))
-
-    def __contains__(self, x):
-        i = x.index if isinstance(x, Element) else int(x)
-        return bool(self.mask >> i & 1)
-
-    def __len__(self):
-        return self.card
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupSet)
-            and self.group == other.group
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.mask))
-
-    def __repr__(self):
-        return f"GroupSet({self.group.spec()}, {{{self.literal()}}})"
 
 
 class SequenceMS:
@@ -98,8 +35,11 @@ class SequenceMS:
         self.mult = Counter()
         if mult:
             for x, m in dict(mult).items():
-                i = x.index if isinstance(x, Element) else int(x)
-                m = int(m)
+                if isinstance(x, Element):
+                    if x.group != group:
+                        raise GroupMismatchError("element from a different group")
+                    x = x.index
+                i, m = int(x), int(m)
                 if m < 1:
                     raise ValueError("multiplicities must be positive")
                 if not 0 <= i < group.order:
@@ -108,13 +48,7 @@ class SequenceMS:
 
     @classmethod
     def from_terms(cls, group, terms):
-        seq = cls(group)
-        for x in terms:
-            i = x.index if isinstance(x, Element) else int(x)
-            if not 0 <= i < group.order:
-                raise ValueError(f"element index {i} out of range")
-            seq.mult[i] += 1
-        return seq
+        return cls(group, Counter(terms))
 
     @property
     def length(self) -> int:
@@ -145,13 +79,6 @@ class CosetProfile:
 
     def squares_sum(self) -> int:
         return sum(r * r for r in self.rho)
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _check_same(a: GroupSet, b) -> None:
@@ -209,17 +136,17 @@ def stabilizer(S: GroupSet) -> Subgroup:
     """stab(S) = {g : S + g = S}; all of G for S empty or S = G."""
     g = S.group
     if S.mask == 0 or S.mask == g.full_mask:
-        return Subgroup.whole(g)
+        return Subgroup(g, g.full_mask, validate=False)
     base = S.mask & -S.mask
     m0 = base.bit_length() - 1
     neg_m0 = g.neg_index(m0)
-    members = []
+    mask = 0
     # g + S = S forces m0 + g in S, so only |S| candidate shifts exist
     for s in _iter_bits(S.mask):
         cand = g.add_index(s, neg_m0)
         if _shift_mask(g, S.mask, cand) == S.mask:
-            members.append(cand)
-    return Subgroup(g, members, validate=False)
+            mask |= 1 << cand
+    return Subgroup(g, mask, validate=False)
 
 
 def generated_subgroup(group: Group, S: GroupSet) -> Subgroup:
@@ -235,7 +162,7 @@ def generated_subgroup(group: Group, S: GroupSet) -> Subgroup:
             if not closure >> y & 1:
                 closure |= 1 << y
                 frontier.append(y)
-    return Subgroup(group, _iter_bits(closure), validate=False)
+    return Subgroup(group, closure, validate=False)
 
 
 def gamma(S: GroupSet, x: Element) -> int:

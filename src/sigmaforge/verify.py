@@ -376,6 +376,8 @@ def vu_check(
             f"{total} qualifying subsets exceed cap {cap}; "
             "pass sample and seed for randomized mode"
         )
+    if sample < 1:
+        raise ValueError("sample must be >= 1")
 
     def sampled():
         rng = random.Random(seed)

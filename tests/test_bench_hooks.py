@@ -1,0 +1,36 @@
+"""The layer names `bench/spans.py` wraps for `bench/run.py --trace 1`.
+
+The tracer replaces functions, methods and classmethods by name, so a
+refactor that moves one of them can silently leave its layer at zero calls.
+It monkeypatches the package for good, so it runs in a subprocess.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import sys
+sys.dont_write_bytecode = True
+sys.path[:0] = [{src!r}, {bench!r}]
+import spans
+tracer = spans.Tracer()
+tracer.install()
+from sigmaforge import cli, make_group, verify
+verify.exhaustive_theorem(make_group([4]), "main")
+cli.main(["sigma", "--group", "Z6", "--set", "0;3"])
+m = tracer.layer_metrics(1.0)
+for name in ("groups.Subgroup", "setcalc.stabilizer", "setcalc.literal"):
+    assert m[name + ".calls"] > 0, name
+assert m["setcalc.from_indices.self_s"] > 0
+"""
+
+
+def test_traced_layers_are_reached():
+    script = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

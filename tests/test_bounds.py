@@ -65,9 +65,9 @@ def test_corollary_examples():
     # A inside H: rhs collapses to |H|
     g6 = make_group([6])
     H = generated_subgroup(g6, gset(g6, [2]))
-    rep = corollary_bound(GroupSet(g6, H.mask))
+    rep = corollary_bound(H)
     assert rep.holds
-    assert rep.rhs == len(stabilizer(subset_sums(GroupSet(g6, H.mask))))
+    assert rep.rhs == len(stabilizer(subset_sums(H)))
 
 
 def test_corollary_exhaustive_z8():
@@ -81,7 +81,7 @@ def test_main_bound_empty_and_inside_h():
     rep = main_bound_check(GroupSet(g))
     assert (rep.lhs, rep.rhs) == (0, 0)
     H = generated_subgroup(g, gset(g, [4]))
-    rep = main_bound_check(GroupSet(g, H.mask))
+    rep = main_bound_check(H)
     assert rep.rhs == 0 and rep.holds
 
 
@@ -126,7 +126,7 @@ def test_cauchy_schwarz_examples():
     rep = cauchy_schwarz_check(A, triv)
     assert rep.lhs == rep.rhs == 16  # equality at H = {0}
     H = generated_subgroup(g, gset(g, [4]))
-    rep = cauchy_schwarz_check(GroupSet(g, H.mask & 0b10001), H)
+    rep = cauchy_schwarz_check(gset(g, [0, 4]), H)
     assert rep.holds
 
 

@@ -94,6 +94,14 @@ def test_verify_olson(capsys):
     assert json.loads(out)["verdict"] == "verified"
 
 
+def test_verify_vu_empty_sample_exit_2(capsys):
+    code, out, err = run(
+        capsys, "verify", "vu", "--n", "293", "--sample", "0", "--seed", "1"
+    )
+    assert code == 2 and out == ""
+    assert "sample must be >= 1" in err
+
+
 def test_verify_vu_vacuous(capsys):
     code, out, _ = run(capsys, "verify", "vu", "--n", "10", "--json")
     assert code == 0

@@ -70,12 +70,12 @@ def test_encode_decode_roundtrip(factors, data):
 
 def test_generated_subgroup_examples():
     g5 = make_group([5])
-    assert generated_subgroup(g5, GroupSet(g5)).members == (0,)
+    assert generated_subgroup(g5, GroupSet(g5)).members() == [0]
     assert generated_subgroup(
         g5, GroupSet.from_indices(g5, [1])
-    ).members == tuple(range(5))
+    ).members() == list(range(5))
     g6 = make_group([6])
-    assert generated_subgroup(g6, GroupSet.from_indices(g6, [2])).members == (0, 2, 4)
+    assert generated_subgroup(g6, GroupSet.from_indices(g6, [2])).members() == [0, 2, 4]
 
 
 @given(st.integers(2, 24), st.sets(st.integers(0, 23), max_size=4))
@@ -83,7 +83,7 @@ def test_generated_subgroup_matches_closure_oracle(n, gens):
     g = make_group([n])
     gens = {x % n for x in gens}
     sub = generated_subgroup(g, GroupSet.from_indices(g, gens))
-    assert list(sub.members) == naive_closure(g, gens)
+    assert sub.members() == naive_closure(g, gens)
     # Lagrange + closure invariants
     assert 0 in sub
     assert g.order % len(sub) == 0
@@ -91,9 +91,9 @@ def test_generated_subgroup_matches_closure_oracle(n, gens):
 
 def test_quotient_examples():
     g = make_group([6])
-    full = Subgroup.whole(g)
+    full = Subgroup.full(g)
     assert quotient(g, full).num_cosets == 1
-    h = Subgroup(g, [0, 3])
+    h = Subgroup.from_indices(g, [0, 3])
     q = quotient(g, h)
     cosets = [
         sorted(i for i in range(6) if q.coset_mask(c) >> i & 1)
@@ -107,23 +107,30 @@ def test_quotient_examples():
 def test_quotient_rejects_non_subgroup():
     g = make_group([6])
     with pytest.raises(InvalidSubgroupError):
-        Subgroup(g, [0, 1])  # not closed
+        Subgroup.from_indices(g, [0, 1])  # not closed
+    with pytest.raises(InvalidSubgroupError):
+        Subgroup(g, 0b11)
     g24 = make_group([2, 4])
     for group, members in ((g, [0, 1]), (g, [0, 2]), (g24, [0, 1, 3, 4])):
+        mask = sum(1 << m for m in members)
         with pytest.raises(InvalidSubgroupError):
-            quotient(group, Subgroup(group, members, validate=False))
+            quotient(group, Subgroup(group, mask, validate=False))
 
 
 @given(st.sampled_from([(12,), (4, 6), (2, 4, 2)]), st.data())
 def test_quotient_accepts_exactly_the_subgroups(factors, data):
     g = make_group(factors)
     members = {0} | data.draw(st.sets(st.integers(0, g.order - 1), max_size=8))
-    H = Subgroup(g, members, validate=False)
+    mask = sum(1 << m for m in members)
+    H = Subgroup(g, mask, validate=False)
     if naive_closure(g, members) == sorted(members):
         assert quotient(g, H).num_cosets * len(H) == g.order
+        assert Subgroup(g, mask) == H
     else:
         with pytest.raises(InvalidSubgroupError):
             quotient(g, H)
+        with pytest.raises(InvalidSubgroupError):
+            Subgroup(g, mask)
 
 
 def test_quotient_cosets_have_subgroup_size():
@@ -136,7 +143,7 @@ def test_quotient_cosets_have_subgroup_size():
 
 def test_quotient_group_arithmetic():
     g = make_group([6])
-    q = quotient(g, Subgroup(g, [0, 3]))
+    q = quotient(g, Subgroup.from_indices(g, [0, 3]))
     qg = q.quotient_group
     # cosets {0,3}, {1,4}, {2,5}: 1 + 2 = 0 mod H
     assert qg.add_index(1, 2) == 0
@@ -160,7 +167,7 @@ def test_quotient_matches_coset_oracle(factors, data):
         for j in range(g.order):
             assert proj[g.add_index(i, j)] == qg.add_index(proj[i], proj[j])
     # equal projections exactly when the oracle puts i and j in one coset
-    coset_of, reps = naive_quotient(g, H.members)
+    coset_of, reps = naive_quotient(g, H.members())
     assert len(set(zip(coset_of, proj))) == len(reps) == qg.order
     for c in range(qg.order):
         rep = q.lift(c)
@@ -172,13 +179,13 @@ def test_quotient_matches_coset_oracle(factors, data):
 
 def test_quotient_group_is_a_plain_group():
     g = make_group([2, 2])
-    a = quotient(g, Subgroup(g, [0, g.encode((1, 0))]))
-    b = quotient(g, Subgroup(g, [0, g.encode((0, 1))]))
+    a = quotient(g, Subgroup.from_indices(g, [0, g.encode((1, 0))]))
+    b = quotient(g, Subgroup.from_indices(g, [0, g.encode((0, 1))]))
     # the same group Z2, with different projections
     assert a.quotient_group == b.quotient_group == make_group([2])
     assert a.project(g.encode((0, 1))) == b.project(g.encode((1, 0))) == 1
     assert a.project(g.encode((1, 0))) == b.project(g.encode((0, 1))) == 0
-    assert quotient(g, Subgroup.whole(g)).quotient_group.spec() == "Z1"
+    assert quotient(g, Subgroup.full(g)).quotient_group.spec() == "Z1"
     # G/{0} is G on its invariant factors
     h = make_group([4, 2])
     assert quotient(h, Subgroup.trivial(h)).quotient_group.factors == (2, 4)

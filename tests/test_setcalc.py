@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmaforge import (
+    Element,
     GroupMismatchError,
     GroupSet,
     SequenceMS,
@@ -58,6 +59,25 @@ def test_sumset_empty_and_mismatch():
     assert sumset(GroupSet(g), gset(g, [1])).card == 0
     with pytest.raises(GroupMismatchError):
         sumset(gset(g, [1]), gset(make_group([7]), [1]))
+
+
+def test_elements_of_another_group_are_rejected():
+    z6, z8 = make_group([6]), make_group([8])
+    for bad in (Element(z8, 5), Element(z8, 7)):
+        with pytest.raises(GroupMismatchError):
+            GroupSet.from_indices(z6, [bad])
+        with pytest.raises(GroupMismatchError):
+            bad in GroupSet.full(z6)
+        with pytest.raises(GroupMismatchError):
+            SequenceMS(z6, {bad: 1})
+        with pytest.raises(GroupMismatchError):
+            SequenceMS.from_terms(z6, [bad])
+    # an element of the set's own group is read by its index
+    assert GroupSet.from_indices(z6, [z6.element(5), 1]).members() == [1, 5]
+    assert z6.element(5) in GroupSet.full(z6)
+    assert SequenceMS.from_terms(z6, [z6.element(2), 2]).literal() == "2:2"
+    with pytest.raises(ValueError, match="out of range"):
+        SequenceMS.from_terms(z6, [6])
 
 
 @given(
@@ -153,11 +173,17 @@ def test_subsequence_matches_oracle_and_set_case():
 
 def test_stabilizer_examples():
     g6 = make_group([6])
-    assert stabilizer(GroupSet.full(g6)).members == tuple(range(6))
-    assert stabilizer(GroupSet(g6)).members == tuple(range(6))
-    assert stabilizer(gset(g6, [0, 3])).members == (0, 3)
+    assert stabilizer(GroupSet.full(g6)).members() == list(range(6))
+    assert stabilizer(GroupSet(g6)).members() == list(range(6))
+    assert stabilizer(gset(g6, [0, 3])).members() == [0, 3]
     g5 = make_group([5])
-    assert stabilizer(gset(g5, [0, 1])).members == (0,)
+    assert stabilizer(gset(g5, [0, 1])).members() == [0]
+    # stab(S) equals, and hashes like, the plain set with the same bits
+    H = stabilizer(gset(g6, [1, 4]))
+    plain = GroupSet(g6, 0b1001)
+    assert H == plain and plain == H and hash(H) == hash(plain)
+    assert H != GroupSet(g6, 0b1011)
+    assert repr(H) == "Subgroup(Z6, {0;3})" and repr(plain) == "GroupSet(Z6, {0;3})"
 
 
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data())
@@ -165,7 +191,30 @@ def test_stabilizer_examples():
 def test_stabilizer_matches_shift_oracle(factors, data):
     g = make_group(factors)
     A = data.draw(st.sets(st.integers(0, g.order - 1)))
-    assert list(stabilizer(gset(g, A)).members) == naive_stab(g, A)
+    H, oracle = stabilizer(gset(g, A)), naive_stab(g, A)
+    assert H.members() == oracle
+    assert H == gset(g, oracle) and hash(H) == hash(gset(g, oracle))
+
+
+def test_subgroup_is_a_group_set():
+    g = make_group([6])
+    H = Subgroup.from_indices(g, [0, 3])
+    A = gset(g, [1, 2])
+    assert sumset(A, H) == sumset(A, gset(g, [0, 3])) == gset(g, [1, 2, 4, 5])
+    assert sumset(H, A) == sumset(A, H)
+    assert Subgroup(g, 0b1001) == H and 3 in H and len(H) == 2
+    assert Subgroup.full(g) == GroupSet.full(g)
+    assert Subgroup.trivial(g) == gset(g, [0])
+
+
+@given(st.sampled_from([(12,), (2, 6), (2, 2, 3)]), st.data())
+@settings(max_examples=40)
+def test_sumset_with_stabilizer_matches_oracle(factors, data):
+    g = make_group(factors)
+    S = data.draw(st.sets(st.integers(0, g.order - 1)))
+    A = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1))
+    H = stabilizer(gset(g, S))
+    assert sumset(gset(g, A), H).members() == naive_sumset(g, A, naive_stab(g, S))
 
 
 def test_stabilizer_monotone_under_sumset():
@@ -220,7 +269,7 @@ def test_deficiency_examples():
 
 def test_coset_profile_examples():
     g = make_group([6])
-    h = Subgroup(g, [0, 3])
+    h = Subgroup.from_indices(g, [0, 3])
     inside = SequenceMS.from_terms(g, [0, 3, 3])
     assert coset_profile(inside, h).rho == ()
     a = SequenceMS.from_terms(g, [1, 1, 2])
@@ -247,7 +296,7 @@ def test_coset_profile_non_increasing():
 
 def test_fold_to_quotient():
     g = make_group([6])
-    h = Subgroup(g, [0, 3])
+    h = Subgroup.from_indices(g, [0, 3])
     assert fold_to_quotient(gset(g, [0, 3]), h).members() == [0]
     assert fold_to_quotient(GroupSet.full(g), h).members() == [0, 1, 2]
     assert fold_to_quotient(gset(g, [1, 4]), h).members() == [1]
@@ -257,12 +306,12 @@ def test_folds_by_same_subgroup_share_a_group():
     # two separate folds by H = <4> in Z12 land in one group G/H, so they
     # add, and folding commutes with the sumset
     g = make_group([12])
-    h = Subgroup(g, [0, 4, 8])
+    h = Subgroup.from_indices(g, [0, 4, 8])
     A, B = gset(g, [1, 2]), gset(g, [3])
     fa, fb = fold_to_quotient(A, h), fold_to_quotient(B, h)
     assert fa.group == fb.group and hash(fa.group) == hash(fb.group)
     assert sumset(fa, fb) == fold_to_quotient(sumset(A, B), h)
-    assert fa.group != fold_to_quotient(A, Subgroup(g, [0, 6])).group
+    assert fa.group != fold_to_quotient(A, Subgroup.from_indices(g, [0, 6])).group
 
 
 def test_quotient_consistency_with_sigma():

@@ -128,6 +128,12 @@ def test_vu_sampled_mode():
         vu_check(293, cap=10)
 
 
+def test_vu_sampled_mode_rejects_empty_sample():
+    for sample in (0, -1):
+        with pytest.raises(ValueError, match="sample must be >= 1"):
+            vu_check(293, sample=sample, seed=1, cap=10)
+
+
 def test_interval_example_small():
     rec = interval_example(1)
     assert rec["sigma_size"] == 3
