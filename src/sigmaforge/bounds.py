@@ -80,38 +80,44 @@ def kneser_bound(sets) -> BoundReport:
     )
 
 
-def corollary_bound(A: GroupSet) -> BoundReport:
-    """|Sigma(A)|  vs  |H| + |H| * |A \\ H|, H = stab(Sigma(A))."""
+def main_sides(sigma_size: int, stab_size: int, outside: int) -> tuple:
+    """(64 * (|Sigma(A)| - |H|), |A \\ H|^2): the main bound cleared of 1/64."""
+    return 64 * (sigma_size - stab_size), outside * outside
+
+
+def corollary_sides(sigma_size: int, stab_size: int, outside: int) -> tuple:
+    """(|Sigma(A)|, |H| + |H| * |A \\ H|)."""
+    return sigma_size, stab_size + stab_size * outside
+
+
+def subset_report(
+    theorem: str, sigma_size: int, stab_size: int, outside: int
+) -> BoundReport:
+    """The `main` or `corollary` report from |Sigma(A)|, |H| and |A \\ H|."""
+    context = {"sigma_size": sigma_size, "stab_size": stab_size, "outside": outside}
+    if theorem == "main":
+        lhs, rhs = main_sides(sigma_size, stab_size, outside)
+        context["slack"] = lhs - rhs
+    else:
+        lhs, rhs = corollary_sides(sigma_size, stab_size, outside)
+    return _report(theorem, lhs, rhs, **context)
+
+
+def _subset_terms(A: GroupSet) -> tuple:
+    """(|Sigma(A)|, |H|, |A \\ H|) with H = stab(Sigma(A))."""
     sigma = subset_sums(A)
     H = stabilizer(sigma)
-    outside = (A.mask & ~H.mask).bit_count()
-    rhs = len(H) + len(H) * outside
-    return _report(
-        "corollary",
-        sigma.card,
-        rhs,
-        sigma_size=sigma.card,
-        stab_size=len(H),
-        outside=outside,
-    )
+    return sigma.card, len(H), (A.mask & ~H.mask).bit_count()
+
+
+def corollary_bound(A: GroupSet) -> BoundReport:
+    """|Sigma(A)|  vs  |H| + |H| * |A \\ H|, H = stab(Sigma(A))."""
+    return subset_report("corollary", *_subset_terms(A))
 
 
 def main_bound_check(A: GroupSet) -> BoundReport:
     """64 * (|Sigma(A)| - |H|)  vs  |A \\ H|^2."""
-    sigma = subset_sums(A)
-    H = stabilizer(sigma)
-    outside = (A.mask & ~H.mask).bit_count()
-    lhs = 64 * (sigma.card - len(H))
-    rhs = outside * outside
-    return _report(
-        "main",
-        lhs,
-        rhs,
-        sigma_size=sigma.card,
-        stab_size=len(H),
-        outside=outside,
-        slack=lhs - rhs,
-    )
+    return subset_report("main", *_subset_terms(A))
 
 
 def sequence_bound_check(a: SequenceMS) -> BoundReport:

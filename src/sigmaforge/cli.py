@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .groups import CapacityError, Group, parse_element, parse_group
 from .setcalc import (
@@ -42,9 +43,9 @@ def parse_set(group: Group, literal: str) -> GroupSet:
 def parse_sequence(group: Group, literal: str) -> SequenceMS:
     """Sequence literal `elem:mult;elem:mult` with `:1` default."""
     literal = literal.strip()
-    seq = SequenceMS(group)
     if not literal:
-        return seq
+        return SequenceMS(group)
+    counts = Counter()
     for part in literal.split(";"):
         if ":" in part:
             elem, mult = part.rsplit(":", 1)
@@ -53,8 +54,8 @@ def parse_sequence(group: Group, literal: str) -> SequenceMS:
             elem, m = part, 1
         if m < 1:
             raise ValueError(f"bad multiplicity in {part!r}")
-        seq.mult[parse_element(group, elem).index] += m
-    return seq
+        counts[parse_element(group, elem).index] += m
+    return SequenceMS(group, counts)
 
 
 def _emit(args, payload: dict, human_lines) -> None:

@@ -230,7 +230,8 @@ class GroupSet:
             if x.group != self.group:
                 raise GroupMismatchError("element from a different group")
             x = x.index
-        return bool(self.mask >> int(x) & 1)
+        x = int(x)
+        return x >= 0 and bool(self.mask >> x & 1)
 
     def __len__(self):
         return self.card

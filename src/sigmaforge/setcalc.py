@@ -117,6 +117,50 @@ def subset_sums(A: GroupSet) -> GroupSet:
     return GroupSet(g, s)
 
 
+def subset_walk(group: Group, elems, size=None):
+    """Yield `(mask, sigma_mask)` for every subset B of `elems`.
+
+    The subsets are visited in preorder of the tree whose root is the empty
+    set and whose children of B add one element above max(B), in ascending
+    order.  That is exactly the lex order of the ascending member lists: a
+    list precedes its extensions (a prefix sorts first), and two lists that
+    first differ in their i-th entry sit in sibling subtrees, visited in
+    ascending order of that entry.  Each node costs at most one rotation,
+    since Sigma(B ∪ {a}) = Sigma(B) | (Sigma(B) + a); the walk keeps one
+    (mask, Sigma) pair per level of the current path.  `elems` are distinct
+    element indices.
+
+    With `size`, only the subsets that extend to a `size`-subset by larger
+    elements are visited: the paths to the `size`-subsets, which come in
+    `itertools.combinations` order.  A j-subset is such a prefix iff its
+    members lie in the first n - size + j positions, so the walk has
+    sum_j C(n - size + j, j) = C(n + 1, size) nodes.
+    """
+    elems = sorted(elems)
+    n = len(elems)
+    if size is None:
+        size, room = n, n
+    else:
+        room = n - size  # depth d extends by positions <= room + d only
+    full = group.full_mask
+    path = [(-1, 0, 1)]  # (position in `elems` of max(B), B, Sigma(B))
+    yield 0, 1
+    nxt = 0  # position of the next child to try
+    while path:
+        depth = len(path) - 1
+        if nxt < n and depth < size and nxt <= room + depth:
+            _, m, s = path[-1]
+            a = elems[nxt]
+            if s != full:  # Sigma(B) = G stays G
+                s |= _shift_mask(group, s, a)
+            m |= 1 << a
+            path.append((nxt, m, s))
+            yield m, s
+            nxt += 1
+        else:
+            nxt = path.pop()[0] + 1
+
+
 def subsequence_sums(a: SequenceMS) -> GroupSet:
     """Sigma of a sequence: each term folded once per unit of multiplicity."""
     g = a.group

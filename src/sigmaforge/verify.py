@@ -2,9 +2,16 @@
 
 Exhaustive modes enumerate every instance below a capacity cap; random
 modes draw instances from a seeded RNG so every reported number is
-replayable.  Every verifier streams its instances, in a fixed order,
-through one driver (`_verify`) on a single thread, so no instance list
-is ever held in memory.
+replayable.  Every verifier streams its instances, in a fixed order, on a
+single thread, so no instance list is ever held in memory.  Exhaustive
+`main`/`corollary` and exhaustive `extremal_search` walk the subsets with
+`setcalc.subset_walk`: one rotation per subset, since each Sigma extends its
+parent's.  `main`/`corollary` run one `stabilizer` per distinct Sigma; the
+search walks only the prefixes of its k-subsets and runs `stabilizer` only on
+a k-subset that would beat the best so far.  The walk visits the subsets in
+lex order of their member lists, so the first least-slack subset is the
+lex-least witness.  The other verifiers evaluate each instance
+through `_verify`; both paths assemble the run in `_run`.
 """
 
 from __future__ import annotations
@@ -22,12 +29,14 @@ from .setcalc import (
     SequenceMS,
     stabilizer,
     subset_sums,
+    subset_walk,
 )
 from .bounds import (
-    corollary_bound,
+    corollary_sides,
     kneser_bound,
-    main_bound_check,
+    main_sides,
     sequence_bound_check,
+    subset_report,
 )
 
 EXHAUSTIVE_SUBSET_CAP = 16
@@ -141,11 +150,17 @@ def _verify(instances, evaluate, literal, key=None, extra_stats=None, **run_fiel
             k = key(inst)
             if best_slack is None or slack < best_slack or k < best_key:
                 best_slack, best_key, best = slack, k, inst
+    witness = None if best_slack is None else literal(best)
+    return _run(t0, count, counterexamples, best_slack, witness, extra_stats, **run_fields)
+
+
+def _run(t0, count, counterexamples, min_slack, witness, extra_stats=None, **run_fields):
+    """The `VerificationRun` of `count` instances checked since `t0`."""
     stats = {
         "instances": count,
         **(extra_stats or {}),
-        "min_slack": best_slack,
-        "witness": None if best_slack is None else literal(best),
+        "min_slack": min_slack,
+        "witness": witness,
     }
     return VerificationRun(
         counterexamples=counterexamples,
@@ -166,43 +181,72 @@ def exhaustive_theorem(
             raise CapacityError(
                 f"|G| = {group.order} exceeds subset-enumeration cap {cap}"
             )
-        check = main_bound_check if theorem == "main" else corollary_bound
-        instances = (GroupSet(group, mask) for mask in range(1 << group.order))
+        return _subset_theorem(group, theorem)
 
-        def evaluate(A):
-            rep = check(A)
-            if rep.holds:
-                return rep.lhs - rep.rhs, None
-            return rep.lhs - rep.rhs, {"set": A.literal(), "report": rep.to_dict()}
-
-        key, literal = GroupSet.members, GroupSet.literal
-
-    elif theorem == "kneser-pairs":
-        if group.order > KNESER_PAIRS_CAP:
-            raise CapacityError(
-                f"|G| = {group.order} exceeds pair-enumeration cap {KNESER_PAIRS_CAP}"
-            )
-        nonempty = [GroupSet(group, mask) for mask in range(1, 1 << group.order)]
-        instances = product(nonempty, repeat=2)
-
-        def evaluate(pair):
-            rep = kneser_bound(pair)
-            if rep.holds:
-                return rep.lhs - rep.rhs, None
-            payload = {"sets": literal(pair), "report": rep.to_dict()}
-            return rep.lhs - rep.rhs, payload
-
-        def key(pair):
-            return pair[0].members(), pair[1].members()
-
-        def literal(pair):
-            return f"{pair[0].literal()}|{pair[1].literal()}"
-
-    else:
+    if theorem != "kneser-pairs":
         raise ValueError(f"unknown theorem {theorem!r}")
+    if group.order > KNESER_PAIRS_CAP:
+        raise CapacityError(
+            f"|G| = {group.order} exceeds pair-enumeration cap {KNESER_PAIRS_CAP}"
+        )
+    nonempty = [GroupSet(group, mask) for mask in range(1, 1 << group.order)]
+    instances = product(nonempty, repeat=2)
+
+    def evaluate(pair):
+        rep = kneser_bound(pair)
+        if rep.holds:
+            return rep.lhs - rep.rhs, None
+        payload = {"sets": literal(pair), "report": rep.to_dict()}
+        return rep.lhs - rep.rhs, payload
+
+    def key(pair):
+        return pair[0].members(), pair[1].members()
+
+    def literal(pair):
+        return f"{pair[0].literal()}|{pair[1].literal()}"
 
     return _verify(
         instances, evaluate, literal, key,
+        theorem=theorem, group=group.spec(), mode="exhaustive",
+    )
+
+
+def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
+    """`main` or `corollary` on every subset of `group`, in one `subset_walk`.
+
+    stab(Sigma(A)) is a function of Sigma(A) alone, so it is computed once
+    per distinct Sigma mask.  Reports and literals are built only for the
+    failing subsets, listed in mask order, and for the witness.
+    """
+    t0 = time.perf_counter()
+    sides = main_sides if theorem == "main" else corollary_sides
+    terms = {}  # Sigma mask -> (|Sigma|, H mask, |H|), H = stab(Sigma)
+    failing = []
+    count = 0
+    best_slack = best = None
+    for mask, sigma in subset_walk(group, range(group.order)):
+        count += 1
+        t = terms.get(sigma)
+        if t is None:
+            H = stabilizer(GroupSet(group, sigma))
+            t = terms[sigma] = (sigma.bit_count(), H.mask, H.card)
+        sigma_size, h_mask, h_size = t
+        outside = (mask & ~h_mask).bit_count()
+        lhs, rhs = sides(sigma_size, h_size, outside)
+        slack = lhs - rhs
+        if slack < 0:
+            failing.append((mask, sigma_size, h_size, outside))
+        if best_slack is None or slack < best_slack:
+            best_slack, best = slack, mask
+    counterexamples = [
+        {
+            "set": GroupSet(group, mask).literal(),
+            "report": subset_report(theorem, *t).to_dict(),
+        }
+        for mask, *t in sorted(failing)
+    ]
+    return _run(
+        t0, count, counterexamples, best_slack, GroupSet(group, best).literal(),
         theorem=theorem, group=group.spec(), mode="exhaustive",
     )
 
@@ -443,10 +487,16 @@ def extremal_search(
             raise CapacityError(
                 f"C({len(nonzero)}, {k}) exceeds enumeration cap {cap}"
             )
-        for idxs in combinations(nonzero, k):
-            size = score(idxs)
-            if size is not None and (best is None or (size, idxs) < best):
-                best = (size, idxs)
+        # the k-subsets come in `combinations` order, so the first least
+        # |Sigma| wins ties; the walk visits only their prefixes
+        for mask, sigma in subset_walk(group, nonzero, k):
+            size = sigma.bit_count()
+            if mask.bit_count() != k or (best is not None and size >= best[0]):
+                continue
+            if len(stabilizer(GroupSet(group, sigma))) == 1:
+                best = (size, mask)
+        if best is not None:
+            best = (best[0], GroupSet(group, best[1]).members())
         mode_str = "exhaustive"
     elif mode == "hillclimb":
         if seed is None or restarts is None:

@@ -1,8 +1,24 @@
-"""Shared brute-force oracles, kept independent of the bitmap kernels."""
+"""Shared brute-force oracles.
+
+The `naive_*` oracles are kept independent of the bitmap kernels.  The
+`*_loop` oracles check one instance at a time, computing its Sigma with
+`subset_sums` and formatting every report, so they pin the output of the
+subset walk in `verify` byte for byte.
+"""
 
 from __future__ import annotations
 
 import itertools
+
+from sigmaforge import (
+    ExtremalRecord,
+    GroupSet,
+    VerificationRun,
+    corollary_bound,
+    main_bound_check,
+    stabilizer,
+    subset_sums,
+)
 
 
 def naive_sumset(group, A, B):
@@ -73,3 +89,44 @@ def naive_quotient(group, members):
                 coset_of[group.add_index(i, h)] = len(reps)
             reps.append(i)
     return coset_of, reps
+
+
+def exhaustive_loop(group, theorem):
+    """`exhaustive_theorem(group, "main" | "corollary")`, one subset at a time.
+
+    Subsets are checked in mask order, which is the counterexample order;
+    the witness is the lex-least member list among the least-slack subsets.
+    """
+    check = main_bound_check if theorem == "main" else corollary_bound
+    counterexamples = []
+    best = None  # ((slack, members), literal)
+    for mask in range(1 << group.order):
+        A = GroupSet(group, mask)
+        rep = check(A)
+        if not rep.holds:
+            counterexamples.append({"set": A.literal(), "report": rep.to_dict()})
+        key = (rep.lhs - rep.rhs, A.members())
+        if best is None or key < best[0]:
+            best = (key, A.literal())
+    stats = {"instances": 1 << group.order, "min_slack": best[0][0], "witness": best[1]}
+    return VerificationRun(
+        theorem=theorem, group=group.spec(), mode="exhaustive",
+        counterexamples=counterexamples, stats=stats,
+    )
+
+
+def search_loop(group, k):
+    """`extremal_search(group, k)` over `itertools.combinations`."""
+    best = None  # (|Sigma|, idxs)
+    for idxs in itertools.combinations(range(1, group.order), k):
+        sigma = subset_sums(GroupSet.from_indices(group, idxs))
+        if len(stabilizer(sigma)) == 1 and (best is None or (sigma.card, idxs) < best):
+            best = (sigma.card, idxs)
+    if best is None:
+        return ExtremalRecord(group=group.spec(), k=k, mode="exhaustive", feasible=False)
+    size, idxs = best
+    return ExtremalRecord(
+        group=group.spec(), k=k, mode="exhaustive", feasible=True,
+        best_set=GroupSet.from_indices(group, idxs).literal(), sigma_size=size,
+        stabilizer_size=1, ratio_num=4 * (size - 1), ratio_den=k * k,
+    )

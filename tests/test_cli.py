@@ -191,9 +191,18 @@ def test_usage_error_exit_2(capsys):
     assert run(capsys, "bogus")[0] == 2
 
 
+def test_bad_multiplicity_exit_2(capsys):
+    for seq in ("1:0", "1:-2", "1:2;1:-1"):
+        code, _, err = run(capsys, "sigma", "--group", "Z9", "--seq", seq)
+        assert code == 2, seq
+        assert "multiplicit" in err, seq
+
+
 def test_parse_helpers():
     g = parse_group("Z9")
     assert parse_set(g, "1;3;5").members() == [1, 3, 5]
     seq = parse_sequence(g, "3:2;1")
     assert seq.mult == {3: 2, 1: 1}
     assert seq.length == 3
+    assert parse_sequence(g, "3;3:2;1").mult == {3: 3, 1: 1}
+    assert parse_sequence(g, " ").length == 0

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,8 @@ from sigmaforge import (
     subset_sums,
     sumset,
 )
+from sigmaforge.groups import _shift_mask
+from sigmaforge.setcalc import subset_walk
 from conftest import naive_stab, naive_subseq_sigma, naive_sigma, naive_sumset
 
 
@@ -93,6 +97,15 @@ def test_sumset_matches_oracle(factors, data):
     assert got == (naive_sumset(g, A, B) if A and B else [])
 
 
+@given(st.sampled_from([(6, 4), (2, 4, 8), (3, 3, 2)]), st.data())
+@settings(max_examples=60)
+def test_shift_mask_matches_add_index(factors, data):
+    g = make_group(factors)
+    i = data.draw(st.integers(0, g.order - 1))
+    j = data.draw(st.integers(0, g.order - 1))
+    assert _shift_mask(g, 1 << i, j) == 1 << g.add_index(i, j)
+
+
 # -- shift -----------------------------------------------------------------
 
 def test_shift_examples():
@@ -148,6 +161,49 @@ def test_sigma_monotone():
         sa = subset_sums(gset(g, A)).mask
         sb = subset_sums(gset(g, B)).mask
         assert sb & sa == sb
+
+
+# -- subset walk -----------------------------------------------------------
+
+WALK_GROUPS = [(6,), (8,), (2, 4), (3, 3), (2, 2, 2), (2, 3, 2)]
+
+
+def _mask(idxs):
+    return sum(1 << i for i in idxs)
+
+
+@given(st.sampled_from(WALK_GROUPS), st.data())
+@settings(max_examples=60)
+def test_subset_walk_matches_oracle(factors, data):
+    g = make_group(factors)
+    elems = data.draw(st.lists(st.integers(0, g.order - 1), unique=True, max_size=8))
+    size = data.draw(st.none() | st.integers(0, len(elems)))
+    nodes = list(subset_walk(g, elems, size))
+    masks = [m for m, _ in nodes]
+    # every subset, or every prefix of a size-subset, exactly once
+    if size is None:
+        want = {_mask(c) for r in range(len(elems) + 1) for c in combinations(elems, r)}
+    else:
+        want = {_mask(c[:j]) for c in combinations(sorted(elems), size) for j in range(size + 1)}
+    assert len(masks) == len(want) and set(masks) == want
+    # in strictly increasing (lex) order of the member lists
+    members = [GroupSet(g, m).members() for m in masks]
+    assert all(a < b for a, b in zip(members, members[1:]))
+    for (_, sigma), idxs in zip(nodes, members):
+        assert GroupSet(g, sigma).members() == naive_sigma(g, idxs)
+
+
+@given(st.sampled_from(WALK_GROUPS), st.data())
+@settings(max_examples=30)
+def test_subset_walk_leaves_in_combinations_order(factors, data):
+    g = make_group(factors)
+    k = data.draw(st.integers(0, g.order - 1))
+    masks = [m for m, _ in subset_walk(g, range(1, g.order), k)]
+    leaves = [m for m in masks if m.bit_count() == k]
+    assert leaves == [_mask(c) for c in combinations(range(1, g.order), k)]
+    # only the prefixes of the k-subsets: C(n + 1, k) nodes for n elements,
+    # not every subset of size <= k
+    assert len(masks) == comb(g.order, k)
 
 
 def test_subsequence_sums_examples():
@@ -325,6 +381,15 @@ def test_quotient_consistency_with_sigma():
         folded = fold_to_quotient(sig, H)
         assert sig.card == len(H) * folded.card
         assert sig.card % len(H) == 0
+
+
+def test_membership_of_ints_outside_the_group():
+    z6 = make_group([6])
+    full = GroupSet.full(z6)
+    for x in (-1, -6, -7, 6, 100):
+        assert x not in full
+    assert 0 in full and 5 in full
+    assert -1 not in GroupSet(z6) and 5 not in gset(z6, [1])
 
 
 def test_set_literals():

@@ -4,6 +4,7 @@ import pytest
 
 from sigmaforge import (
     CapacityError,
+    bounds,
     exhaustive_theorem,
     extremal_search,
     interval_example,
@@ -13,10 +14,11 @@ from sigmaforge import (
     parse_group,
     random_kneser,
     random_sequence_theorem,
+    verify,
     vu_check,
 )
 from sigmaforge.verify import vu_threshold
-from conftest import naive_sigma
+from conftest import exhaustive_loop, naive_sigma, search_loop
 
 
 def test_exhaustive_trivial_group():
@@ -49,6 +51,28 @@ def test_exhaustive_capacity():
         exhaustive_theorem(make_group([17]), "main")
     with pytest.raises(CapacityError):
         exhaustive_theorem(make_group([9]), "kneser-pairs")
+
+
+# The main and corollary bounds with |Sigma(A)| - 1 added to the right side,
+# which some subsets of every group fail and the empty set meets.
+TIGHTENED = {
+    "main_sides": lambda sigma, stab, outside: (
+        64 * (sigma - stab), outside * outside + sigma - 1),
+    "corollary_sides": lambda sigma, stab, outside: (
+        sigma, stab + stab * outside + sigma - 1),
+}
+
+
+@pytest.mark.parametrize("spec", ["Z8", "Z2xZ4", "Z2xZ2xZ2"])
+@pytest.mark.parametrize("theorem", ["main", "corollary"])
+def test_exhaustive_counterexamples_match_loop(theorem, spec, monkeypatch):
+    name = f"{theorem}_sides"
+    for module in (bounds, verify):
+        monkeypatch.setattr(module, name, TIGHTENED[name])
+    g = parse_group(spec)
+    run = exhaustive_theorem(g, theorem)
+    assert 0 < len(run.counterexamples) < run.stats["instances"]
+    assert run.to_json() == exhaustive_loop(g, theorem).to_json()
 
 
 def test_random_kneser_runs_clean():
@@ -172,6 +196,15 @@ def test_extremal_search_exhaustive_vs_oracle():
             brute = len(sig)
     assert rec.sigma_size == brute
     assert 64 * (rec.sigma_size - 1) >= rec.k * rec.k
+
+
+@pytest.mark.parametrize(
+    "n, ks", [(n, (1, 2, 3)) for n in range(13, 18)] + [(21, (18, 19, 20))]
+)
+def test_extremal_search_matches_combinations_loop(n, ks):
+    g = make_group([n])
+    for k in ks:
+        assert extremal_search(g, k).to_json() == search_loop(g, k).to_json()
 
 
 def test_extremal_search_hillclimb_dominated():
