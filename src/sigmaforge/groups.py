@@ -3,6 +3,9 @@
 A group Z_{n1} x ... x Z_{nk} stores its elements as mixed-radix indices
 in [0, order), so that subsets can live in flat bitmaps (python ints), and
 translating a subset is a per-digit rotation of its bitmap (`_shift_mask`).
+A `Group` is immutable: per invariant factor it keeps one bitmap of block
+starts, and each rotation derives its mask from it, so translating by any
+number of distinct elements stores nothing.
 Every subset of a group is a `GroupSet` on that bitmap; a `Subgroup` is a
 `GroupSet` known to be closed, so a subgroup equals, hashes like and adds
 with the plain set of the same elements.  A quotient G/H is an ordinary
@@ -45,13 +48,19 @@ def max_order() -> int:
     raw = os.environ.get(_MAX_ORDER_ENV)
     if raw is None:
         return DEFAULT_MAX_ORDER
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{_MAX_ORDER_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 class Group:
     """Z_{n1} x ... x Z_{nk} with elements indexed in mixed radix."""
 
-    __slots__ = ("factors", "order", "strides", "full_mask", "_rot_cache")
+    __slots__ = ("factors", "order", "strides", "full_mask", "_digits")
 
     def __init__(self, factors):
         factors = tuple(int(n) for n in factors)
@@ -71,7 +80,16 @@ class Group:
         self.order = order
         self.strides = tuple(strides)
         self.full_mask = (1 << order) - 1
-        self._rot_cache = {}
+        # (n, stride, block starts) per digit; the block starts are the
+        # indices whose digits at and below this one are all 0
+        digits = []
+        for n, stride in zip(factors, strides):
+            unit, width = 1, n * stride
+            while width < order:
+                unit |= unit << width
+                width *= 2
+            digits.append((n, stride, unit & self.full_mask))
+        self._digits = tuple(digits)
 
     # -- element arithmetic on raw indices ---------------------------------
 
@@ -135,44 +153,25 @@ class Group:
 # -- bitmaps over the mixed-radix layout ----------------------------------
 
 
-def _block_starts(group: Group, level: int) -> int:
-    """Bitmap of the indices whose digits at and below `level` are all 0."""
-    unit = group._rot_cache.get(level)  # rotations use (level, s) keys
-    if unit is None:
-        unit, width = 1, group.factors[level] * group.strides[level]
-        while width < group.order:
-            unit |= unit << width
-            width *= 2
-        unit &= group.full_mask
-        group._rot_cache[level] = unit
-    return unit
-
-
 def _shift_mask(group: Group, mask: int, g: int) -> int:
-    """Bitmap of {x + g : x in mask}."""
+    """Bitmap of {x + g : x in mask}.
+
+    A nonzero digit s of g (modulus n) rotates that digit of every element
+    within its block of n*stride indices: the low `down` = (n - s)*stride
+    positions of each block move up by `up` = s*stride, the rest move down
+    by `down`.  For block starts u (bits one block apart) and x < block,
+    (u << x) - u = (2^x - 1)·u has exactly the low x positions of every
+    block set, and no carry crosses a block.
+    """
     if g == 0 or mask == 0:
         return mask
-    for level, (n, stride) in enumerate(zip(group.factors, group.strides)):
-        s = (g // stride) % n
-        if s:
-            mask = _rotate_level(group, mask, level, s)
+    for n, stride, unit in group._digits:
+        if s := g // stride % n:
+            up = s * stride
+            down = n * stride - up
+            kept = mask & ((unit << down) - unit)
+            mask = (kept << up) | ((mask ^ kept) >> down)
     return mask
-
-
-def _rotate_level(group: Group, mask: int, level: int, s: int) -> int:
-    # rotate the digit at `level` by s, simultaneously in every block
-    key = (level, s)
-    cached = group._rot_cache.get(key)
-    if cached is None:
-        block = group.factors[level] * group.strides[level]
-        sb = s * group.strides[level]
-        unit = _block_starts(group, level)
-        low = ((1 << (block - sb)) - 1) * unit
-        high = (((1 << block) - 1) ^ ((1 << (block - sb)) - 1)) * unit
-        cached = (low, high, sb, block - sb)
-        group._rot_cache[key] = cached
-    low, high, up, down = cached
-    return ((mask & low) << up) | ((mask & high) >> down)
 
 
 class GroupSet:
@@ -392,8 +391,7 @@ def quotient(group: Group, H: Subgroup) -> Quotient:
         raise InvalidSubgroupError("subgroup must contain 0")
     k = len(group.factors)
     rows = []
-    for level, (n, stride) in enumerate(zip(group.factors, group.strides)):
-        unit = _block_starts(group, level)
+    for level, (n, stride, unit) in enumerate(group._digits):
         rows.append([n * (j == level) for j in range(k)])
         low = [c for c in range(1, math.isqrt(n) + 1) if n % c == 0]
         for c in sorted({*low, *(n // c for c in low)})[:-1]:  # divisors < n

@@ -5,7 +5,7 @@ one too); sequences are `SequenceMS` multisets.  The workhorse is
 `groups._shift_mask`: translating a set by a group element is a
 mixed-radix rotation of its bitmap, done per invariant factor with
 word-level shift/or, so a sumset costs O(|B|) big-int rotations.  It lives
-in `groups` with `GroupSet`, the strides and the rotation masks it reads.
+in `groups` with `GroupSet` and the per-digit block starts it reads.
 """
 
 from __future__ import annotations

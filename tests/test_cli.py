@@ -94,6 +94,13 @@ def test_verify_olson(capsys):
     assert json.loads(out)["verdict"] == "verified"
 
 
+def test_bad_max_order_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("SIGMAFORGE_MAX_ORDER", "abc")
+    code, out, err = run(capsys, "sigma", "--group", "Z6", "--set", "1")
+    assert code == 2 and out == ""
+    assert "SIGMAFORGE_MAX_ORDER" in err
+
+
 def test_verify_vu_empty_sample_exit_2(capsys):
     code, out, err = run(
         capsys, "verify", "vu", "--n", "293", "--sample", "0", "--seed", "1"

@@ -218,6 +218,10 @@ def test_capacity_cap(monkeypatch):
     with pytest.raises(CapacityError):
         make_group([101])
     make_group([100])
+    for bad in ("abc", "1.5", "", "0", "-3"):
+        monkeypatch.setenv("SIGMAFORGE_MAX_ORDER", bad)
+        with pytest.raises(ValueError, match="SIGMAFORGE_MAX_ORDER"):
+            make_group([2])
 
 
 def test_element_str_and_literal():

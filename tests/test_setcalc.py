@@ -1,6 +1,9 @@
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,13 +100,46 @@ def test_sumset_matches_oracle(factors, data):
     assert got == (naive_sumset(g, A, B) if A and B else [])
 
 
-@given(st.sampled_from([(6, 4), (2, 4, 8), (3, 3, 2)]), st.data())
-@settings(max_examples=60)
+@given(
+    st.sampled_from(
+        [(1,), (7,), (64,), (2,) * 5, (4, 8), (6, 4), (2, 4, 8), (3, 3, 2)]
+    ),
+    st.data(),
+)
+@settings(max_examples=100)
 def test_shift_mask_matches_add_index(factors, data):
     g = make_group(factors)
-    i = data.draw(st.integers(0, g.order - 1))
+    mask = data.draw(st.integers(0, g.full_mask))
     j = data.draw(st.integers(0, g.order - 1))
-    assert _shift_mask(g, 1 << i, j) == 1 << g.add_index(i, j)
+    want = gset(g, {g.add_index(i, j) for i in GroupSet(g, mask).members()})
+    assert _shift_mask(g, mask, j) == want.mask
+
+
+SUMSET_RSS_SCRIPT = """
+import random, resource, sys
+sys.path.insert(0, {src!r})
+from sigmaforge import GroupSet, parse_group, sumset
+g = parse_group("Z1048576")
+rng = random.Random(1)
+A, B = (GroupSet.from_indices(g, rng.sample(range(g.order), 300)) for _ in "AB")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert sumset(A, B).card > 300
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_sumset_by_many_distinct_shifts_keeps_memory_flat():
+    # 300 distinct translations on a 2^20-element group; ru_maxrss is in KB
+    # on Linux, and each stored |G|-bit mask would be 128 KB
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", SUMSET_RSS_SCRIPT.format(src=src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 16 * 1024
 
 
 # -- shift -----------------------------------------------------------------
