@@ -212,6 +212,8 @@ def greedy_grow(A: GroupSet, u: int) -> GrowthTrace:
     Ties break to the lowest canonical index; each step records the gain
     and the resulting |Sigma(B)|.
     """
+    if u < 0:
+        raise ValueError(f"u = {u} must be >= 0")
     if u > A.card:
         raise ValueError(f"u = {u} exceeds |A| = {A.card}")
     g = A.group

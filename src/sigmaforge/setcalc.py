@@ -177,20 +177,56 @@ def subsequence_sums(a: SequenceMS) -> GroupSet:
 
 
 def stabilizer(S: GroupSet) -> Subgroup:
-    """stab(S) = {g : S + g = S}; all of G for S empty or S = G."""
+    """stab(S) = {g : S + g = S}; all of G for S empty or S = G.
+
+    Candidate refinement.  S + g = S iff (G \\ S) + g = G \\ S, since
+    translation by g is a bijection of G; so S is replaced by its complement
+    when that is smaller.  The loop keeps a subgroup H and a candidate set C
+    with H ⊆ stab(S) ⊆ C:
+    - start: H = {0} and C = S - m0 for m0 = min S, as S + g = S puts
+      m0 + g in S;
+    - take the least c in C \\ H and test S + c = S (one rotation);
+    - if it holds, H becomes <H, c> by doubling: H_k = H + {0, c, ...,
+      (2^k - 1)c}, H_{k+1} = H_k | (H_k + 2^k·c), until 2^k·c is in H_k.
+      Then H_k + c ⊆ H_k (its top term goes to H + 2^k·c ⊆ H_k), so H_k
+      is closed and equals <H, c>; each rotation at least doubles the
+      number of H-cosets in H_k, so this takes at most log2 ord(c)
+      rotations;
+    - if it fails, some t in S + c lies outside S, and s = t - c is in S
+      with s + c outside S.  Then C &= S - s (one rotation) keeps
+      stab(S), since s + g is in S for every g in it, and drops c + H,
+      since s + c + h is in S iff s + c is, for h in stab(S).
+    Each round moves c into H or out of C, so the loop ends with
+    C \\ H empty, that is H = stab(S).  At most log2|G| rounds grow H, so
+    a call takes about 2·min(|S|, |G \\ S|) rotations in the worst case
+    (every failed test dropping one candidate), against the |S| tests of
+    scanning every candidate; a random set loses about half of C per
+    failure and needs about 2·log2|S|.
+    """
     g = S.group
-    if S.mask == 0 or S.mask == g.full_mask:
-        return Subgroup(g, g.full_mask, validate=False)
-    base = S.mask & -S.mask
-    m0 = base.bit_length() - 1
-    neg_m0 = g.neg_index(m0)
-    mask = 0
-    # g + S = S forces m0 + g in S, so only |S| candidate shifts exist
-    for s in _iter_bits(S.mask):
-        cand = g.add_index(s, neg_m0)
-        if _shift_mask(g, S.mask, cand) == S.mask:
-            mask |= 1 << cand
-    return Subgroup(g, mask, validate=False)
+    full = g.full_mask
+    s_mask = S.mask
+    if s_mask == 0 or s_mask == full:
+        return Subgroup(g, full, validate=False)
+    if 2 * S.card > g.order:
+        s_mask ^= full
+    m0 = (s_mask & -s_mask).bit_length() - 1
+    cand = _shift_mask(g, s_mask, g.neg_index(m0))
+    h = 1
+    while rest := cand & ~h:
+        c = (rest & -rest).bit_length() - 1
+        moved = _shift_mask(g, s_mask, c)
+        if moved == s_mask:
+            step = c
+            while not h >> step & 1:
+                h |= _shift_mask(g, h, step)
+                step = g.add_index(step, step)
+        else:
+            out = moved & ~s_mask
+            t = (out & -out).bit_length() - 1
+            # S - s for s = t - c
+            cand &= _shift_mask(g, s_mask, g.add_index(c, g.neg_index(t)))
+    return Subgroup(g, h, validate=False)
 
 
 def generated_subgroup(group: Group, S: GroupSet) -> Subgroup:

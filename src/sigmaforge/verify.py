@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .groups import CapacityError, Group
+from .groups import CapacityError, Group, _iter_bits
 from .setcalc import (
     GroupSet,
     SequenceMS,
@@ -251,10 +251,63 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
     )
 
 
+def _kneser_text(inst):
+    """The literal `spec:x;y;...|...` of a Kneser instance, piece by piece."""
+    g, sets = inst
+    yield g.spec() + ":"
+    for i, s in enumerate(sets):
+        if i:
+            yield "|"
+        for j, x in enumerate(_iter_bits(s.mask)):
+            if j:
+                yield ";"
+            yield g.element_literal(x)
+
+
+def _text_lt(xs, ys) -> bool:
+    """`"".join(xs) < "".join(ys)`, reading both only up to the first difference.
+
+    Equal-length pieces compare as their characters do, and a text that is
+    a prefix of the other sorts first, as `str` comparison does.
+    """
+    x = y = ""
+    while True:
+        if not x:
+            x = next(xs, None)
+            if x is None:
+                return bool(y) or any(ys)
+        if not y:
+            y = next(ys, None)
+            if y is None:
+                return False
+        n = min(len(x), len(y))
+        if x[:n] != y[:n]:
+            return x[:n] < y[:n]
+        x, y = x[n:], y[n:]
+
+
+class _KneserKey:
+    """Orders Kneser instances exactly as their literals, compared lazily.
+
+    Slack ties are common (Kneser equality), and a literal can list
+    thousands of elements, while two instances usually differ early.
+    """
+
+    __slots__ = ("inst",)
+
+    def __init__(self, inst):
+        self.inst = inst
+
+    def __lt__(self, other):
+        return _text_lt(_kneser_text(self.inst), _kneser_text(other.inst))
+
+
 def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun:
     """Seeded random m-tuples (m <= m_max) of nonempty sets, one group each."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     groups = list(groups)
 
     def instances():
@@ -276,11 +329,10 @@ def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun
         return rep.lhs - rep.rhs, payload
 
     def literal(inst):
-        g, sets = inst
-        return f"{g.spec()}:" + "|".join(s.literal() for s in sets)
+        return "".join(_kneser_text(inst))
 
     return _verify(
-        instances(), evaluate, literal, key=literal,
+        instances(), evaluate, literal, key=_KneserKey,
         theorem="kneser", group=";".join(g.spec() for g in groups),
         mode="random", seed=seed, trials=trials,
     )
@@ -292,6 +344,8 @@ def random_sequence_theorem(
     """Seeded random sequences of length <= n_max, elements uniform."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
 
     def instances():
         rng = random.Random(seed)
@@ -501,6 +555,8 @@ def extremal_search(
     elif mode == "hillclimb":
         if seed is None or restarts is None:
             raise ValueError("hillclimb mode requires seed and restarts")
+        if restarts < 1:
+            raise ValueError("restarts must be >= 1")
         rng = random.Random(seed)
         for _ in range(restarts):
             current = tuple(sorted(rng.sample(nonzero, k)))

@@ -9,12 +9,14 @@ subset walk in `verify` byte for byte.
 from __future__ import annotations
 
 import itertools
+import random
 
 from sigmaforge import (
     ExtremalRecord,
     GroupSet,
     VerificationRun,
     corollary_bound,
+    kneser_bound,
     main_bound_check,
     stabilizer,
     subset_sums,
@@ -129,4 +131,37 @@ def search_loop(group, k):
         group=group.spec(), k=k, mode="exhaustive", feasible=True,
         best_set=GroupSet.from_indices(group, idxs).literal(), sigma_size=size,
         stabilizer_size=1, ratio_num=4 * (size - 1), ratio_den=k * k,
+    )
+
+
+def kneser_loop(groups, m_max, trials, seed):
+    """`random_kneser` with the whole instance literal as the tie-break key.
+
+    Draws the same instances from the same seeded RNG; the witness is the
+    least (slack, literal).
+    """
+    groups = list(groups)
+    rng = random.Random(seed)
+    counterexamples = []
+    best = None  # (slack, literal)
+    for _ in range(trials):
+        g = rng.choice(groups)
+        sets = []
+        for _ in range(rng.randint(1, m_max)):
+            size = rng.randint(1, g.order)
+            sets.append(GroupSet.from_indices(g, rng.sample(range(g.order), size)))
+        literal = f"{g.spec()}:" + "|".join(s.literal() for s in sets)
+        rep = kneser_bound(sets)
+        if not rep.holds:
+            counterexamples.append(
+                {"group": g.spec(), "sets": literal, "report": rep.to_dict()}
+            )
+        key = (rep.lhs - rep.rhs, literal)
+        if best is None or key < best:
+            best = key
+    stats = {"instances": trials, "min_slack": best[0], "witness": best[1]}
+    return VerificationRun(
+        theorem="kneser", group=";".join(g.spec() for g in groups),
+        mode="random", counterexamples=counterexamples, stats=stats,
+        seed=seed, trials=trials,
     )

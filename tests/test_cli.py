@@ -123,6 +123,28 @@ def test_verify_random_requires_seed(capsys):
     assert "seed" in err
 
 
+def test_verify_random_empty_size_range_exit_2(capsys):
+    code, out, err = run(
+        capsys, "verify", "kneser", "--group", "Z6", "--m-max", "0", "--seed", "1"
+    )
+    assert code == 2 and out == ""
+    assert "m_max must be >= 1" in err
+    code, out, err = run(
+        capsys, "verify", "sequence", "--group", "Z6", "--n-max", "-1", "--seed", "1"
+    )
+    assert code == 2 and out == ""
+    assert "n_max must be >= 0" in err
+
+
+def test_search_hillclimb_zero_restarts_exit_2(capsys):
+    code, out, err = run(
+        capsys, "search", "--group", "Z11", "--k", "2", "--hillclimb",
+        "--seed", "1", "--restarts", "0",
+    )
+    assert code == 2 and out == ""
+    assert "restarts must be >= 1" in err
+
+
 def test_verify_capacity_exit_2(capsys):
     code, _, err = run(capsys, "verify", "main", "--group", "Z20")
     assert code == 2
@@ -175,6 +197,14 @@ def test_construct_greedy_replays(capsys):
         "--greedy", "--json",
     )
     assert out2 == out
+
+
+def test_construct_greedy_negative_u_exit_2(capsys):
+    code, out, err = run(
+        capsys, "construct", "--group", "Z10", "--set", "1;2;3", "--greedy", "--u", "-1"
+    )
+    assert code == 2 and out == ""
+    assert "must be >= 0" in err
 
 
 def test_element_with_wrong_coordinate_count_exit_2(capsys):

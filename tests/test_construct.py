@@ -215,6 +215,8 @@ def test_greedy_grow_precondition():
     g = make_group([10])
     with pytest.raises(ValueError):
         greedy_grow(gset(g, [1]), 2)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        greedy_grow(gset(g, [1, 2, 3]), -1)
 
 
 def test_best_half_symmetric_pair():

@@ -27,6 +27,7 @@ from sigmaforge import (
     subset_sums,
     sumset,
 )
+from sigmaforge import setcalc
 from sigmaforge.groups import _shift_mask
 from sigmaforge.setcalc import subset_walk
 from conftest import naive_stab, naive_subseq_sigma, naive_sigma, naive_sumset
@@ -286,6 +287,66 @@ def test_stabilizer_matches_shift_oracle(factors, data):
     H, oracle = stabilizer(gset(g, A)), naive_stab(g, A)
     assert H.members() == oracle
     assert H == gset(g, oracle) and hash(H) == hash(gset(g, oracle))
+
+
+@given(
+    st.sampled_from([(12,), (64,), (2, 2, 2, 2), (4, 8), (2, 4, 8), (3, 3, 2)]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=120)
+def test_stabilizer_of_coset_unions_matches_shift_oracle(factors, large, data):
+    # a union of K-cosets has K inside its stabilizer, so the refinement
+    # grows H past {0}, which random sets seldom make it do
+    g = make_group(factors)
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=2))
+    K = generated_subgroup(g, gset(g, gens))
+    reps = data.draw(st.sets(st.integers(0, g.order - 1), min_size=1))
+    S = sumset(gset(g, reps), K)
+    if (2 * S.card > g.order) != large:
+        S = S.complement()
+    H = stabilizer(S)
+    assert H.members() == naive_stab(g, S.members())
+    assert H.mask & K.mask == K.mask
+
+
+def test_stabilizer_rotation_budget(monkeypatch):
+    calls = 0
+
+    def counting(group, mask, g):
+        nonlocal calls
+        calls += 1
+        return _shift_mask(group, mask, g)
+
+    monkeypatch.setattr(setcalc, "_shift_mask", counting)
+
+    def rotations(S):
+        nonlocal calls
+        calls = 0
+        return stabilizer(S), calls
+
+    # a subgroup of order 2^k, and a coset of it: one test and one doubling
+    # per generator, plus the first shift
+    z2_12 = make_group([2] * 12)
+    for k in range(12):
+        K = generated_subgroup(z2_12, gset(z2_12, [1 << i for i in range(k)]))
+        for S in (K, shift(K, z2_12.element([1] * 12))):
+            H, n = rotations(S)
+            assert H == K and n <= 2 * k + 2, (k, n)
+    # a cyclic subgroup of order 2^k: one test, then k doublings
+    z4096 = make_group([4096])
+    for k in (1, 5, 8, 11):
+        K = generated_subgroup(z4096, gset(z4096, [4096 >> k]))
+        H, n = rotations(K)
+        assert H == K and n <= k + 2, (k, n)
+    # G \ {z} is handled as {z}: stab is {0} after one shift
+    H, n = rotations(GroupSet(z4096, z4096.full_mask ^ 1 << 1234))
+    assert H == gset(z4096, [0]) and n <= 2
+    # a random set loses about half its candidates per failed test; the
+    # scan over every candidate took |S|, about 2048, rotations here
+    S = GroupSet(z4096, random.Random(0).getrandbits(4096))
+    H, n = rotations(S)
+    assert H == gset(z4096, [0]) and n <= 32, n
 
 
 def test_subgroup_is_a_group_set():

@@ -1,9 +1,11 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from sigmaforge import (
     CapacityError,
+    GroupSet,
     bounds,
     exhaustive_theorem,
     extremal_search,
@@ -17,8 +19,8 @@ from sigmaforge import (
     verify,
     vu_check,
 )
-from sigmaforge.verify import vu_threshold
-from conftest import exhaustive_loop, naive_sigma, search_loop
+from sigmaforge.verify import _KneserKey, _text_lt, vu_threshold
+from conftest import exhaustive_loop, kneser_loop, naive_sigma, search_loop
 
 
 def test_exhaustive_trivial_group():
@@ -88,6 +90,76 @@ def test_random_sequence_theorem():
     assert run.verdict == "verified"
     with pytest.raises(ValueError):
         random_sequence_theorem(g, 10, 0, 1)
+
+
+def test_random_verifiers_reject_empty_size_ranges():
+    g = make_group([6])
+    with pytest.raises(ValueError, match="m_max must be >= 1"):
+        random_kneser([g], m_max=0, trials=5, seed=1)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        random_sequence_theorem(g, n_max=-1, trials=5, seed=1)
+    # the boundary values draw one set, or only empty sequences
+    assert random_kneser([g], m_max=1, trials=5, seed=1).verdict == "verified"
+    run = random_sequence_theorem(g, n_max=0, trials=5, seed=1)
+    assert run.verdict == "verified" and run.stats["witness"] == ""
+
+
+def _kneser_literal(inst):
+    g, sets = inst
+    return f"{g.spec()}:" + "|".join(s.literal() for s in sets)
+
+
+def test_kneser_key_orders_as_literals():
+    z16, z24, z4x4 = make_group([16]), make_group([24]), parse_group("Z4xZ4")
+
+    def inst(g, *sets):
+        return g, [GroupSet.from_indices(g, s) for s in sets]
+
+    instances = [
+        inst(z16, [1, 2]),  # "1;2" > "10" as strings, not as element tuples
+        inst(z16, [10]),
+        inst(z16, [1]),  # a prefix of the next three
+        inst(z16, [1], [2]),
+        inst(z16, [1, 2], [3]),
+        inst(z24, [1]),  # differs from z16 [1] in the spec only
+        inst(z24, [1, 2]),
+        inst(z4x4, [1]),  # "1,0"
+        inst(z4x4, [4]),  # "0,1"
+        inst(z4x4, [1, 2], [5]),
+        inst(z4x4, [1], [2, 5]),
+    ]
+    rng = random.Random(3)
+    for _ in range(30):
+        g = rng.choice([z16, z24, z4x4])
+        instances.append(inst(g, *(
+            rng.sample(range(g.order), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 3))
+        )))
+    for a in instances:
+        for b in instances:
+            lit_a, lit_b = _kneser_literal(a), _kneser_literal(b)
+            assert (_KneserKey(a) < _KneserKey(b)) == (lit_a < lit_b), (lit_a, lit_b)
+
+
+def test_text_lt_ignores_piece_boundaries():
+    rng = random.Random(4)
+
+    def pieces(text):
+        cuts = sorted(rng.choices(range(len(text) + 1), k=rng.randint(0, 3)))
+        return iter([text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])])
+
+    words = ["", "1", "10", "1;2", "1|2", "1,0", "1;20", "Z16:1", "Z16:10"]
+    for a in words:
+        for b in words:
+            for _ in range(5):
+                assert _text_lt(pieces(a), pieces(b)) == (a < b), (a, b)
+
+
+def test_random_kneser_matches_literal_key_loop():
+    groups = [make_group([6]), parse_group("Z2xZ2"), make_group([8]), parse_group("Z3xZ3")]
+    for seed in range(30):
+        run = random_kneser(groups, m_max=3, trials=30, seed=seed)
+        assert run.to_json() == kneser_loop(groups, 3, 30, seed).to_json(), seed
 
 
 def test_random_runs_deterministic():
@@ -227,6 +299,8 @@ def test_extremal_search_infeasible():
 def test_extremal_search_requires_seed_for_hillclimb():
     with pytest.raises(ValueError):
         extremal_search(make_group([11]), 2, mode="hillclimb")
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        extremal_search(make_group([11]), 2, mode="hillclimb", seed=1, restarts=0)
 
 
 def test_run_json_excludes_timing_by_default():
