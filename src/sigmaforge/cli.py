@@ -8,6 +8,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -117,6 +118,10 @@ def _cmd_bound(args) -> int:
             raise ValueError("sequence bound needs --seq")
         rep = sequence_bound_check(parse_sequence(group, args.seq))
     else:
+        if args.set and len(args.set) > 1:
+            raise ValueError(
+                f"{args.which} bound takes one --set, got {len(args.set)}"
+            )
         A = parse_set(group, args.set[0] if args.set else "")
         rep = main_bound_check(A) if args.which == "main" else corollary_bound(A)
     if getattr(args, "csv", False):
@@ -239,7 +244,9 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="sigmaforge",
         description="Exact subset-sum toolkit for finite abelian groups",
@@ -248,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma", help="compute Sigma, |Sigma|, stab(Sigma)")
     p.add_argument("--group", required=True)
-    p.add_argument("--set", default="")
-    p.add_argument("--seq")
+    operand = p.add_mutually_exclusive_group()
+    operand.add_argument("--set", default="")
+    operand.add_argument("--seq")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sigma)
 

@@ -23,6 +23,13 @@ from sigmaforge import (
 )
 
 
+def naive_literal(group, mask):
+    """`GroupSet.literal` one element at a time: sorted `element_literal`s."""
+    return ";".join(
+        group.element_literal(i) for i in range(group.order) if mask >> i & 1
+    )
+
+
 def naive_sumset(group, A, B):
     return sorted({group.add_index(a, b) for a in A for b in B})
 

@@ -1,13 +1,30 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from sigmaforge.cli import main, parse_sequence, parse_set
+from sigmaforge.cli import build_parser, main, parse_sequence, parse_set
 from sigmaforge import parse_group
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh(*argv):
+    """Exit code and stdout of `python -m sigmaforge *argv` in a new process."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigmaforge", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.returncode, proc.stdout
 
 
 def test_sigma_set(capsys):
@@ -36,6 +53,15 @@ def test_sigma_parse_error_exit_2(capsys):
     assert "error" in err
 
 
+def test_sigma_set_and_seq_are_exclusive(capsys):
+    code, out, err = run(capsys, "sigma", "--group", "Z6", "--set", "1", "--seq", "5:2")
+    assert code == 2 and out == ""
+    assert "--seq" in err and "--set" in err
+    code, out, _ = run(capsys, "sigma", "--group", "Z6", "--json")
+    assert code == 0
+    assert json.loads(out)["sigma"] == "0"
+
+
 def test_bound_main(capsys):
     code, out, _ = run(
         capsys, "bound", "--which", "main", "--group", "Z5", "--set", "1", "--json"
@@ -54,6 +80,17 @@ def test_bound_corollary_inside_subgroup(capsys):
     payload = json.loads(out)
     assert payload["holds"]
     assert payload["rhs"] == payload["context"]["stab_size"]
+
+
+def test_bound_main_and_corollary_take_one_set(capsys):
+    for which in ("main", "corollary"):
+        code, out, err = run(
+            capsys,
+            "bound", "--which", which, "--group", "Z12",
+            "--set", "1", "--set", "2;3;4;5;6",
+        )
+        assert code == 2 and out == "", which
+        assert "--set" in err, which
 
 
 def test_bound_recursive(capsys):
@@ -243,3 +280,26 @@ def test_parse_helpers():
     assert seq.length == 3
     assert parse_sequence(g, "3;3:2;1").mult == {3: 3, 1: 1}
     assert parse_sequence(g, " ").length == 0
+
+
+def test_python_dash_m_matches_in_process(capsys):
+    argv = ("sigma", "--group", "Z4xZ8xZ64", "--set", "1,2,3;0,7,63", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert fresh(*argv) == (code, out)
+
+
+def test_parser_is_reused_across_queries(capsys):
+    assert build_parser() is build_parser()
+    kneser = ("bound", "--which", "kneser", "--group", "Z6", "--json")
+    queries = [
+        ("sigma", "--group", "Z6", "--bogus"),
+        ("sigma", "--group", "Z6", "--set", "1;2", "--json"),
+        (*kneser, "--set", "1;2", "--set", "0;3"),
+        (*kneser, "--set", "1;2"),
+    ]
+    results = [run(capsys, *argv)[:2] for argv in queries]
+    assert [code for code, _ in results] == [2, 0, 0, 0]
+    assert [json.loads(out)["context"]["m"] for _, out in results[2:]] == [2, 1]
+    for argv, result in zip(queries, results):
+        assert fresh(*argv) == result, argv

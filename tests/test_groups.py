@@ -16,7 +16,8 @@ from sigmaforge import (
     quotient,
     zero,
 )
-from conftest import naive_closure, naive_quotient
+from sigmaforge.groups import _iter_bits
+from conftest import naive_closure, naive_literal, naive_quotient
 
 
 def test_make_group_orders():
@@ -66,6 +67,36 @@ def test_encode_decode_roundtrip(factors, data):
     assert g.decode(g.encode(coords)) == coords
     idx = data.draw(st.integers(0, g.order - 1))
     assert g.encode(g.decode(idx)) == idx
+
+
+# Z4xZ8xZ64: the digit runs of a dense set are Z4xZ8 and Z64, so the low
+# run takes every factor but the last
+LITERAL_GROUPS = [
+    (1,), (4096,), (1, 5), (7, 1, 3), (2,) * 12, (64, 64), (2, 2048), (4, 8, 64),
+]
+
+
+@pytest.mark.parametrize("factors", LITERAL_GROUPS)
+def test_literal_of_empty_and_full_sets(factors):
+    g = make_group(factors)
+    for mask in (0, g.full_mask):
+        A = GroupSet(g, mask)
+        assert A.literal() == naive_literal(g, mask)
+        assert A.members() == list(_iter_bits(mask))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(LITERAL_GROUPS), st.data())
+def test_literal_and_members_match_naive(factors, data):
+    g = make_group(factors)
+    base = data.draw(st.sampled_from([0, g.full_mask, None]))
+    if base is None:
+        base = data.draw(st.integers(0, g.full_mask))
+    flips = data.draw(st.sets(st.integers(0, g.order - 1), max_size=6))
+    mask = base ^ sum(1 << i for i in flips)
+    A = GroupSet(g, mask)
+    assert A.literal() == naive_literal(g, mask)
+    assert A.members() == list(_iter_bits(mask))
 
 
 def test_generated_subgroup_examples():
