@@ -13,7 +13,7 @@ import json
 import sys
 from collections import Counter
 
-from .groups import CapacityError, Group, parse_element, parse_group
+from .groups import CapacityError, Group, parse_group, parse_index
 from .setcalc import (
     GroupSet,
     SequenceMS,
@@ -37,7 +37,7 @@ def parse_set(group: Group, literal: str) -> GroupSet:
     if not literal:
         return GroupSet(group)
     return GroupSet.from_indices(
-        group, (parse_element(group, part).index for part in literal.split(";"))
+        group, [parse_index(group, part) for part in literal.split(";")]
     )
 
 
@@ -55,7 +55,7 @@ def parse_sequence(group: Group, literal: str) -> SequenceMS:
             elem, m = part, 1
         if m < 1:
             raise ValueError(f"bad multiplicity in {part!r}")
-        counts[parse_element(group, elem).index] += m
+        counts[parse_index(group, elem)] += m
     return SequenceMS(group, counts)
 
 
@@ -95,10 +95,18 @@ def _cmd_sigma(args) -> int:
     return 0
 
 
+def _reject_unread(args, *options) -> None:
+    """Refuse an operand option that `bound --which` would silently ignore."""
+    for name in options:
+        if getattr(args, name) is not None:
+            raise ValueError(f"{args.which} bound does not read --{name}")
+
+
 def _cmd_bound(args) -> int:
     if args.which == "recursive":
         if args.u is None:
             raise ValueError("recursive bound needs --u")
+        _reject_unread(args, "set", "seq")
         value = recursive_bound_numerator(args.u)
         _emit(
             args,
@@ -108,6 +116,7 @@ def _cmd_bound(args) -> int:
         return 0
     if args.group is None:
         raise ValueError(f"{args.which} bound needs --group")
+    _reject_unread(args, "set" if args.which == "sequence" else "seq")
     group = parse_group(args.group)
     if args.which == "kneser":
         if not args.set:

@@ -293,11 +293,15 @@ class GroupSet:
 
 
 def _iter_bits(mask: int):
-    """Set bit positions, lowest first, lazily: the rotation loops' scan.
+    """Set bit positions, lowest first, lazily.
 
-    Kept apart from `GroupSet.members`: a lazy `find`-scan generator measured
-    20-70% slower on the masks of at most 73 bits that these loops iterate,
-    and they may stop early.
+    The scan of `sumset`'s early-exit rotation loop, the greedy argmax loops
+    in `construct`, `generated_subgroup`, `fold_to_quotient`,
+    `GroupSet.elements` and the lazy Kneser literal in `verify`.
+    `subset_sums` peels its bits inline instead, since it runs once per
+    verified instance.  Kept apart from `GroupSet.members`: a lazy
+    `find`-scan generator measured 20-70% slower on masks of at most 73
+    bits, and the loops may stop early.
     """
     while mask:
         low = mask & -mask
@@ -509,11 +513,22 @@ def parse_group(spec: str) -> Group:
     return Group(int(part[1:]) for part in s.split("x"))
 
 
-def parse_element(group: Group, literal: str) -> Element:
+def parse_index(group: Group, literal: str) -> int:
+    """Index of the element literal `c1,...,ck`; coordinates wrap mod n_i.
+
+    Each coordinate is reduced into [0, n_i), so the index is in range
+    by construction and needs no second check.
+    """
     parts = literal.split(",")
     if len(parts) != len(group.factors):
         raise ValueError(
             f"element {literal!r} needs {len(group.factors)} coordinates"
         )
-    coords = [int(p) % n for p, n in zip(parts, group.factors)]
-    return Element(group, group.encode(coords))
+    return sum(
+        int(p) % n * stride
+        for p, n, stride in zip(parts, group.factors, group.strides)
+    )
+
+
+def parse_element(group: Group, literal: str) -> Element:
+    return Element(group, parse_index(group, literal))

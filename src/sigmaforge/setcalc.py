@@ -107,13 +107,20 @@ def shift(A: GroupSet, g: Element) -> GroupSet:
 
 
 def subset_sums(A: GroupSet) -> GroupSet:
-    """Sigma(A): fold S <- S | (S + a) over a in A in ascending index order."""
+    """Sigma(A): fold S <- S | (S + a) over a in A in ascending index order.
+
+    The members are peeled off lowest bit first inline, not through
+    `_iter_bits`: no generator frame per member, and the fold stops as soon
+    as S is the whole group.
+    """
     g = A.group
+    full = g.full_mask
     s = 1
-    for a in _iter_bits(A.mask):
-        s |= _shift_mask(g, s, a)
-        if s == g.full_mask:
-            break
+    rest = A.mask
+    while rest and s != full:
+        low = rest & -rest
+        s |= _shift_mask(g, s, low.bit_length() - 1)
+        rest ^= low
     return GroupSet(g, s)
 
 

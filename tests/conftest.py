@@ -9,11 +9,13 @@ subset walk in `verify` byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from sigmaforge import (
     ExtremalRecord,
     GroupSet,
+    make_group,
     VerificationRun,
     corollary_bound,
     kneser_bound,
@@ -171,4 +173,50 @@ def kneser_loop(groups, m_max, trials, seed):
         theorem="kneser", group=";".join(g.spec() for g in groups),
         mode="random", counterexamples=counterexamples, stats=stats,
         seed=seed, trials=trials,
+    )
+
+
+def completeness_loop(theorem, n, t, sample=None, seed=None):
+    """`olson_check(n)` or `vu_check(n, sample, seed)` at threshold `t`.
+
+    The instances are the `combinations` of the nonzero elements (Olson) or
+    of the units (Vu) with at least `t` members, or, with `sample`, the
+    same seeded draws as `vu_check`; each Sigma comes from `naive_sigma`.
+    The witness is the least (slack, member tuple).
+    """
+    group = make_group([n])
+    if theorem == "olson":
+        elems = list(range(1, n))
+        extra = {"threshold": t}
+    else:
+        elems = [a for a in range(1, n) if math.gcd(a, n) == 1]
+        extra = {"threshold": t, "phi": len(elems)}
+    if sample is None:
+        instances = [
+            A for k in range(t, len(elems) + 1)
+            for A in itertools.combinations(elems, k)
+        ]
+    else:
+        rng = random.Random(seed)
+        instances = [
+            tuple(sorted(rng.sample(elems, rng.randint(t, len(elems)))))
+            for _ in range(sample)
+        ]
+    counterexamples = []
+    best = None  # (slack, idxs)
+    for idxs in instances:
+        size = len(naive_sigma(group, idxs))
+        if size < n:
+            literal = ";".join(map(group.element_literal, idxs))
+            counterexamples.append({"set": literal, "sigma_size": size})
+        if best is None or (size - n, idxs) < best:
+            best = (size - n, idxs)
+    stats = {
+        "instances": len(instances), **extra, "min_slack": best[0],
+        "witness": ";".join(map(group.element_literal, best[1])),
+    }
+    return VerificationRun(
+        theorem=theorem, group=group.spec(),
+        mode="exhaustive" if sample is None else "random",
+        counterexamples=counterexamples, stats=stats, seed=seed, trials=sample,
     )

@@ -2,7 +2,7 @@
 
 The tracer replaces functions, methods and classmethods by name, so a
 refactor that moves one of them can silently leave its layer at zero calls.
-It monkeypatches the package for good, so it runs in a subprocess.
+It monkeypatches the package for good, so each check runs in a subprocess.
 """
 
 import subprocess
@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCRIPT = """
+PREAMBLE = """
 import sys
 sys.dont_write_bytecode = True
 sys.path[:0] = [{src!r}, {bench!r}]
@@ -19,6 +19,9 @@ import spans
 tracer = spans.Tracer()
 tracer.install()
 from sigmaforge import cli, make_group, verify
+"""
+
+LAYERS = """
 verify.exhaustive_theorem(make_group([4]), "main")
 cli.main(["sigma", "--group", "Z6", "--set", "0;3"])
 m = tracer.layer_metrics(1.0)
@@ -27,10 +30,28 @@ for name in ("groups.Subgroup", "setcalc.stabilizer", "setcalc.literal"):
 assert m["setcalc.from_indices.self_s"] > 0
 """
 
+# the facts `bench/selftest.py` requires of the completeness workload
+COMPLETENESS = """
+verify.olson_check(7)
+verify.vu_check(67)
+m = tracer.layer_metrics(1.0)
+assert m["verify.instances"] == 22 + 1, m
+assert m["verify.evaluations_per_instance"] == 1.0, m
+assert m["groups.quotient.calls"] == 0, m
+"""
 
-def test_traced_layers_are_reached():
-    script = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"))
+
+def run_traced(body):
+    script = PREAMBLE.format(src=str(ROOT / "src"), bench=str(ROOT / "bench")) + body
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_layers_are_reached():
+    run_traced(LAYERS)
+
+
+def test_completeness_runs_one_subset_sums_per_instance():
+    run_traced(COMPLETENESS)

@@ -1,11 +1,14 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from sigmaforge.cli import build_parser, main, parse_sequence, parse_set
-from sigmaforge import parse_group
+from sigmaforge import parse_element, parse_group
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -91,6 +94,25 @@ def test_bound_main_and_corollary_take_one_set(capsys):
         )
         assert code == 2 and out == "", which
         assert "--set" in err, which
+
+
+@pytest.mark.parametrize("which, operand", [
+    ("sequence", ("--set", "1;2;3")),
+    ("kneser", ("--seq", "5")),
+    ("main", ("--seq", "5")),
+    ("corollary", ("--seq", "5")),
+    ("recursive", ("--set", "1")),
+    ("recursive", ("--seq", "5")),
+])
+def test_bound_rejects_unread_operand(capsys, which, operand):
+    read = {
+        "sequence": ("--group", "Z12", "--seq", "5"),
+        "recursive": ("--u", "8"),
+    }.get(which, ("--group", "Z12", "--set", "1;2;3"))
+    assert run(capsys, "bound", "--which", which, *read)[0] in (0, 1)
+    code, out, err = run(capsys, "bound", "--which", which, *read, *operand)
+    assert code == 2 and out == ""
+    assert f"does not read {operand[0]}" in err
 
 
 def test_bound_recursive(capsys):
@@ -280,6 +302,21 @@ def test_parse_helpers():
     assert seq.length == 3
     assert parse_sequence(g, "3;3:2;1").mult == {3: 3, 1: 1}
     assert parse_sequence(g, " ").length == 0
+
+
+def test_parse_wraps_each_coordinate():
+    rng = random.Random(5)
+    for spec in ("Z7", "Z4xZ8xZ64", "Z2xZ2xZ3"):
+        g = parse_group(spec)
+        coords = [
+            [rng.randint(-2 * n, 2 * n) for n in g.factors] for _ in range(12)
+        ]
+        parts = [",".join(map(str, c)) for c in coords]
+        indices = {g.encode([r % n for r, n in zip(c, g.factors)]) for c in coords}
+        assert {parse_element(g, part).index for part in parts} == indices
+        assert parse_set(g, ";".join(parts)).members() == sorted(indices)
+        seq = parse_sequence(g, ";".join(parts))
+        assert seq.length == len(parts) and set(seq.mult) == indices
 
 
 def test_python_dash_m_matches_in_process(capsys):

@@ -20,7 +20,13 @@ from sigmaforge import (
     vu_check,
 )
 from sigmaforge.verify import _KneserKey, _text_lt, vu_threshold
-from conftest import exhaustive_loop, kneser_loop, naive_sigma, search_loop
+from conftest import (
+    completeness_loop,
+    exhaustive_loop,
+    kneser_loop,
+    naive_sigma,
+    search_loop,
+)
 
 
 def test_exhaustive_trivial_group():
@@ -228,6 +234,28 @@ def test_vu_sampled_mode_rejects_empty_sample():
     for sample in (0, -1):
         with pytest.raises(ValueError, match="sample must be >= 1"):
             vu_check(293, sample=sample, seed=1, cap=10)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_olson_check_matches_combinations_loop(p, monkeypatch):
+    assert olson_check(p).to_json() == completeness_loop(
+        "olson", p, verify.olson_threshold(p)).to_json()
+    # a threshold this low admits sets with Sigma != Z_p: 2-sets for p >= 5
+    monkeypatch.setattr(verify, "olson_threshold", lambda p: 2)
+    run = olson_check(p)
+    assert run.counterexamples and run.stats["min_slack"] < 0
+    assert run.to_json() == completeness_loop("olson", p, 2).to_json()
+
+
+@pytest.mark.parametrize("n, t", [(9, 2), (15, 3), (20, 1), (28, 4)])
+def test_vu_check_matches_combinations_loop(n, t, monkeypatch):
+    monkeypatch.setattr(verify, "vu_threshold", lambda n: t)
+    run = vu_check(n)
+    assert run.mode == "exhaustive" and run.counterexamples
+    assert run.to_json() == completeness_loop("vu", n, t).to_json()
+    run = vu_check(n, sample=40, seed=n, cap=5)
+    assert run.mode == "random" and run.counterexamples
+    assert run.to_json() == completeness_loop("vu", n, t, 40, n).to_json()
 
 
 def test_interval_example_small():
