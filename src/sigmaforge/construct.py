@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .groups import CapacityError, Element, GenerationError, Subgroup, quotient
 from .setcalc import (
     GroupSet,
+    _check_same,
     _iter_bits,
     _shift_mask,
     generated_subgroup,
@@ -71,13 +72,23 @@ class GrowthTrace:
         )
 
 
-def _argmax_delta(C: GroupSet, S: GroupSet):
+def _argmax_delta(group, cand: int, s: int):
+    """Lowest c in bitmap `cand` maximizing |(S + c) \\ S| for bitmap `s`, and the max."""
     best_c, best_d = None, -1
-    for c in _iter_bits(C.mask):  # ascending index, so ties keep the lowest
-        d = (_shift_mask(S.group, S.mask, c) & ~S.mask).bit_count()
+    for c in _iter_bits(cand):
+        d = (_shift_mask(group, s, c) & ~s).bit_count()
         if d > best_d:
             best_c, best_d = c, d
     return best_c, best_d
+
+
+def _check_candidates(C: GroupSet, S: GroupSet) -> int:
+    """df_S(G) = min(|S|, |G \\ S|), once C is nonempty and in S's group."""
+    if C.mask == 0:
+        raise ValueError("candidate set must be nonempty")
+    if C.group != S.group:
+        raise ValueError("C and S must live in the same group")
+    return min(S.card, S.group.order - S.card)
 
 
 def witness_easy(C: GroupSet, S: GroupSet) -> WitnessReport:
@@ -86,12 +97,8 @@ def witness_easy(C: GroupSet, S: GroupSet) -> WitnessReport:
     The ambient group is C's group; when 2*df_S(G) <= |C| the returned
     element c satisfies 2*Delta_S(c) >= df_S(G).
     """
-    if C.mask == 0:
-        raise ValueError("candidate set must be nonempty")
-    if C.group != S.group:
-        raise ValueError("C and S must live in the same group")
-    df = min(S.card, S.group.order - S.card)
-    c, d = _argmax_delta(C, S)
+    df = _check_candidates(C, S)
+    c, d = _argmax_delta(C.group, C.mask, S.mask)
     failed = None
     if 2 * df > C.card:
         failed = f"2*df_S(H) = {2 * df} > |C| = {C.card}"
@@ -104,15 +111,11 @@ def witness_hard(C: GroupSet, S: GroupSet) -> WitnessReport:
     Requires <C> to be the whole ambient group; when 2*df_S(G) >= |C|
     the returned element c satisfies 8*Delta_S(c) >= |C|.
     """
-    if C.mask == 0:
-        raise ValueError("candidate set must be nonempty")
-    if C.group != S.group:
-        raise ValueError("C and S must live in the same group")
+    df = _check_candidates(C, S)
     gen = generated_subgroup(C.group, C)
     if len(gen) != C.group.order:
         raise GenerationError("C does not generate the ambient group")
-    df = min(S.card, S.group.order - S.card)
-    c, d = _argmax_delta(C, S)
+    c, d = _argmax_delta(C.group, C.mask, S.mask)
     failed = None
     if 2 * df < C.card:
         failed = f"2*df_S(H) = {2 * df} < |C| = {C.card}"
@@ -125,9 +128,7 @@ def hard_bound_diagnostic(C: GroupSet, S: GroupSet) -> dict:
     Reports |D| and whether |D| >= 2*df_S(G) (the inequality the argmax
     guarantee rests on).
     """
-    if C.mask == 0:
-        raise ValueError("candidate set must be nonempty")
-    df = min(S.card, S.group.order - S.card)
+    df = _check_candidates(C, S)
     r = (4 * df) // C.card
     cstar = GroupSet(C.group, C.mask | 1)
     D = GroupSet(C.group, 1)
@@ -169,6 +170,7 @@ def classify_cosets(S: GroupSet, H: Subgroup, u: int):
 
 def dense_graph(b: Element, S: GroupSet, H: Subgroup, u: int) -> DenseGraph:
     """Cayley subgraph on the dense H-cosets with generator b + H."""
+    _check_same(S, b)
     classes = classify_cosets(S, H, u)
     W = tuple(cc.coset for cc in classes if cc.label == "dense")
     wset = set(W)
@@ -221,18 +223,14 @@ def greedy_grow(A: GroupSet, u: int) -> GrowthTrace:
     sigma = 1
     steps = []
     for _ in range(u):
-        best_c, best_d = None, -1
-        for c in _iter_bits(A.mask & ~chosen_mask):
-            d = (_shift_mask(g, sigma, c) & ~sigma).bit_count()
-            if d > best_d:
-                best_c, best_d = c, d
+        best_c, best_d = _argmax_delta(g, A.mask & ~chosen_mask, sigma)
         chosen_mask |= 1 << best_c
         sigma |= _shift_mask(g, sigma, best_c)
         steps.append(GrowthStep(best_c, best_d, sigma.bit_count()))
     return GrowthTrace(tuple(steps), GroupSet(g, chosen_mask))
 
 
-def best_half_subset(A: GroupSet, cap: int = HALF_SUBSET_CAP):
+def best_half_subset(A: GroupSet):
     """Exact max of |Sigma(B)| over half-size subsets B of A.
 
     |A| must be even (= 2u); ties resolve to the lexicographically least
@@ -242,9 +240,9 @@ def best_half_subset(A: GroupSet, cap: int = HALF_SUBSET_CAP):
     """
     if A.card % 2:
         raise ValueError("|A| must be even")
-    if A.card > cap:
+    if A.card > HALF_SUBSET_CAP:
         raise CapacityError(
-            f"|A| = {A.card} exceeds exhaustive cap {cap}; use greedy_grow"
+            f"|A| = {A.card} exceeds exhaustive cap {HALF_SUBSET_CAP}; use greedy_grow"
         )
     g = A.group
     u = A.card // 2

@@ -8,7 +8,8 @@ single thread, so no instance list is ever held in memory.  Exhaustive
 `setcalc.subset_walk`: one rotation per subset, since each Sigma extends its
 parent's.  `main`/`corollary` run one `stabilizer` per distinct Sigma; the
 search walks only the prefixes of its k-subsets and runs `stabilizer` only on
-a k-subset that would beat the best so far.  The walk visits the subsets in
+a k-subset that would beat the best so far; its hill-climb mode reaches each
+neighbour's Sigma with one rotation.  The walk visits the subsets in
 lex order of their member lists, so the first least-slack subset is the
 lex-least witness.  The other verifiers evaluate each instance
 through `_verify`; both paths assemble the run in `_run`.  The completeness
@@ -25,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .groups import CapacityError, Group, _iter_bits
+from .groups import CapacityError, Group, _iter_bits, _shift_mask
 from .setcalc import (
     GroupSet,
     SequenceMS,
@@ -34,6 +35,7 @@ from .setcalc import (
     subset_walk,
 )
 from .bounds import (
+    _subset_terms,
     corollary_sides,
     kneser_bound,
     main_sides,
@@ -172,16 +174,13 @@ def _run(t0, count, counterexamples, min_slack, witness, extra_stats=None, **run
     )
 
 
-def exhaustive_theorem(
-    group: Group,
-    theorem: str,
-    cap: int = EXHAUSTIVE_SUBSET_CAP,
-) -> VerificationRun:
+def exhaustive_theorem(group: Group, theorem: str) -> VerificationRun:
     """Check `main`, `corollary`, or `kneser-pairs` over every instance."""
     if theorem in ("main", "corollary"):
-        if group.order > cap:
+        if group.order > EXHAUSTIVE_SUBSET_CAP:
             raise CapacityError(
-                f"|G| = {group.order} exceeds subset-enumeration cap {cap}"
+                f"|G| = {group.order} exceeds subset-enumeration cap "
+                f"{EXHAUSTIVE_SUBSET_CAP}"
             )
         return _subset_theorem(group, theorem)
 
@@ -409,7 +408,7 @@ def _completeness(group, instances, **run_fields) -> VerificationRun:
     return _verify(instances, evaluate, literal, group=group.spec(), **run_fields)
 
 
-def olson_check(p: int, cap: int = OLSON_CAP) -> VerificationRun:
+def olson_check(p: int) -> VerificationRun:
     """All A in Z_p \\ {0} with |A| >= floor(sqrt(4p-7)) must have Sigma = Z_p.
 
     The size condition is read as a lower bound (the completeness
@@ -417,8 +416,8 @@ def olson_check(p: int, cap: int = OLSON_CAP) -> VerificationRun:
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > cap:
-        raise CapacityError(f"p = {p} exceeds cap {cap}")
+    if p > OLSON_CAP:
+        raise CapacityError(f"p = {p} exceeds cap {OLSON_CAP}")
     t = olson_threshold(p)
     nonzero = range(1, p)
     instances = (A for k in range(t, p) for A in combinations(nonzero, k))
@@ -528,98 +527,96 @@ def interval_example(n: int) -> dict:
     }
 
 
+def _precedes(a, b) -> bool:
+    """Whether rank `a` = (|Sigma|, k-set mask) sorts before rank `b`.
+
+    Sizes first, then member lists; every rank precedes None.  Two distinct k-sets first differ at
+    x = min(A ^ B): they share the members below x, and the one holding x
+    lists it where the other lists a larger member, so it comes first.
+    """
+    if b is None or a[0] != b[0]:
+        return b is None or a[0] < b[0]
+    d = a[1] ^ b[1]
+    return d & -d & a[1] != 0
+
+
 def extremal_search(
     group: Group,
     k: int,
     mode: str = "exhaustive",
     seed: int | None = None,
     restarts: int | None = None,
-    cap: int = SEARCH_ENUM_CAP,
 ) -> ExtremalRecord:
-    """Minimize |Sigma(A)| over k-subsets of G \\ {0} with trivial stab(Sigma)."""
+    """Minimize |Sigma(A)| over k-subsets of G \\ {0} with trivial stab(Sigma).
+
+    Sets are bitmaps ranked by `_precedes`; `stabilizer` runs only on a set
+    that would become the best so far.  Exhaustive mode walks the k-subsets
+    in `combinations` order, so the first least |Sigma| precedes the later
+    ones and wins ties.  Hill-climb moves from each seeded random k-set A
+    to its least feasible neighbour A - out + inc that precedes A, until
+    none does; each neighbour's Sigma is one rotation of Sigma(A \\ {out}),
+    since Sigma(B ∪ {x}) = Sigma(B) | (Sigma(B) + x).
+    """
     if k < 1 or k > group.order - 1:
         raise ValueError(f"k = {k} out of range")
-    nonzero = list(range(1, group.order))
+    nonzero = range(1, group.order)
 
-    def score(idxs):
-        A = GroupSet.from_indices(group, idxs)
-        sigma = subset_sums(A)
-        if len(stabilizer(sigma)) != 1:
-            return None
-        return sigma.card
+    def feasible(sigma):
+        return stabilizer(GroupSet(group, sigma)).mask == 1
 
-    best = None  # (size, idxs)
+    best = None  # (|Sigma|, mask)
     if mode == "exhaustive":
-        if math.comb(len(nonzero), k) > cap:
+        if seed is not None or restarts is not None:
+            raise ValueError("exhaustive search takes no seed or restarts")
+        if math.comb(len(nonzero), k) > SEARCH_ENUM_CAP:
             raise CapacityError(
-                f"C({len(nonzero)}, {k}) exceeds enumeration cap {cap}"
+                f"C({len(nonzero)}, {k}) exceeds enumeration cap {SEARCH_ENUM_CAP}"
             )
-        # the k-subsets come in `combinations` order, so the first least
-        # |Sigma| wins ties; the walk visits only their prefixes
         for mask, sigma in subset_walk(group, nonzero, k):
             size = sigma.bit_count()
             if mask.bit_count() != k or (best is not None and size >= best[0]):
                 continue
-            if len(stabilizer(GroupSet(group, sigma))) == 1:
+            if feasible(sigma):
                 best = (size, mask)
-        if best is not None:
-            best = (best[0], GroupSet(group, best[1]).members())
-        mode_str = "exhaustive"
     elif mode == "hillclimb":
         if seed is None or restarts is None:
             raise ValueError("hillclimb mode requires seed and restarts")
         if restarts < 1:
             raise ValueError("restarts must be >= 1")
+        mode = f"hillclimb(seed={seed},restarts={restarts})"
         rng = random.Random(seed)
         for _ in range(restarts):
-            current = tuple(sorted(rng.sample(nonzero, k)))
-            cur_size = score(current)
+            current = sum(1 << i for i in rng.sample(nonzero, k))
+            sigma = subset_sums(GroupSet(group, current)).mask
+            step = (sigma.bit_count(), current) if feasible(sigma) else None
             while True:
-                improved = None
-                for out in current:
-                    for inc in nonzero:
-                        if inc in current:
-                            continue
-                        cand = tuple(sorted(set(current) - {out} | {inc}))
-                        size = score(cand)
-                        if size is None:
-                            continue
-                        if cur_size is None or (size, cand) < (cur_size, current):
-                            if improved is None or (size, cand) < improved:
-                                improved = (size, cand)
-                if improved is None:
+                improved = step  # a move must precede A and every earlier move
+                others = list(_iter_bits(group.full_mask ^ 1 ^ current))
+                for out in _iter_bits(current):
+                    rest = current ^ (1 << out)
+                    base = subset_sums(GroupSet(group, rest)).mask
+                    for inc in others:
+                        sigma = base | _shift_mask(group, base, inc)
+                        cand = (sigma.bit_count(), rest | (1 << inc))
+                        if _precedes(cand, improved) and feasible(sigma):
+                            improved = cand
+                if improved is step:
                     break
-                cur_size, current = improved
-            if cur_size is not None and (best is None or (cur_size, current) < best):
-                best = (cur_size, current)
-        mode_str = f"hillclimb(seed={seed},restarts={restarts})"
+                step, current = improved, improved[1]
+            if step is not None and _precedes(step, best):
+                best = step
     else:
         raise ValueError(f"unknown search mode {mode!r}")
 
-    if best is None:
-        return ExtremalRecord(
-            group=group.spec(),
-            k=k,
-            mode=mode_str,
-            feasible=False,
-            seed=seed,
-            restarts=restarts,
+    fields = {}
+    if best is not None:
+        A = GroupSet(group, best[1])
+        sigma_size, stab_size, outside = _subset_terms(A)
+        fields = dict(
+            best_set=A.literal(), sigma_size=sigma_size, stabilizer_size=stab_size,
+            ratio_num=4 * (sigma_size - stab_size), ratio_den=outside * outside,
         )
-    size, idxs = best
-    A = GroupSet.from_indices(group, idxs)
-    sigma = subset_sums(A)
-    H = stabilizer(sigma)
-    outside = (A.mask & ~H.mask).bit_count()
     return ExtremalRecord(
-        group=group.spec(),
-        k=k,
-        mode=mode_str,
-        feasible=True,
-        best_set=A.literal(),
-        sigma_size=sigma.card,
-        stabilizer_size=len(H),
-        ratio_num=4 * (sigma.card - len(H)),
-        ratio_den=outside * outside,
-        seed=seed,
-        restarts=restarts,
+        group=group.spec(), k=k, mode=mode, feasible=best is not None,
+        seed=seed, restarts=restarts, **fields,
     )

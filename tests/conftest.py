@@ -3,7 +3,7 @@
 The `naive_*` oracles are kept independent of the bitmap kernels.  The
 `*_loop` oracles check one instance at a time, computing its Sigma with
 `subset_sums` and formatting every report, so they pin the output of the
-subset walk in `verify` byte for byte.
+subset walk and of the incremental hill-climb in `verify` byte for byte.
 """
 
 from __future__ import annotations
@@ -140,6 +140,61 @@ def search_loop(group, k):
         group=group.spec(), k=k, mode="exhaustive", feasible=True,
         best_set=GroupSet.from_indices(group, idxs).literal(), sigma_size=size,
         stabilizer_size=1, ratio_num=4 * (size - 1), ratio_den=k * k,
+    )
+
+
+def hillclimb_loop(group, k, seed, restarts):
+    """`extremal_search(group, k, "hillclimb", seed, restarts)`, one neighbour at a time.
+
+    Every neighbour A - out + inc is rebuilt as a sorted tuple and scored
+    from scratch (`subset_sums` and `stabilizer`); a step moves to the least
+    feasible (|Sigma|, members) neighbour that beats the current set.
+    """
+    nonzero = list(range(1, group.order))
+
+    def score(idxs):
+        sigma = subset_sums(GroupSet.from_indices(group, idxs))
+        return sigma.card if len(stabilizer(sigma)) == 1 else None
+
+    rng = random.Random(seed)
+    best = None  # (|Sigma|, idxs)
+    for _ in range(restarts):
+        current = tuple(sorted(rng.sample(nonzero, k)))
+        cur_size = score(current)
+        while True:
+            improved = None
+            for out in current:
+                for inc in nonzero:
+                    if inc in current:
+                        continue
+                    cand = tuple(sorted(set(current) - {out} | {inc}))
+                    size = score(cand)
+                    if size is None:
+                        continue
+                    if cur_size is None or (size, cand) < (cur_size, current):
+                        if improved is None or (size, cand) < improved:
+                            improved = (size, cand)
+            if improved is None:
+                break
+            cur_size, current = improved
+        if cur_size is not None and (best is None or (cur_size, current) < best):
+            best = (cur_size, current)
+    mode = f"hillclimb(seed={seed},restarts={restarts})"
+    if best is None:
+        return ExtremalRecord(
+            group=group.spec(), k=k, mode=mode, feasible=False,
+            seed=seed, restarts=restarts,
+        )
+    size, idxs = best
+    A = GroupSet.from_indices(group, idxs)
+    sigma = subset_sums(A)
+    H = stabilizer(sigma)
+    outside = (A.mask & ~H.mask).bit_count()
+    return ExtremalRecord(
+        group=group.spec(), k=k, mode=mode, feasible=True,
+        best_set=A.literal(), sigma_size=sigma.card, stabilizer_size=len(H),
+        ratio_num=4 * (sigma.card - len(H)), ratio_den=outside * outside,
+        seed=seed, restarts=restarts,
     )
 
 

@@ -204,6 +204,15 @@ def test_search_hillclimb_zero_restarts_exit_2(capsys):
     assert "restarts must be >= 1" in err
 
 
+def test_search_exhaustive_rejects_seed_and_restarts_exit_2(capsys):
+    code, out, err = run(
+        capsys, "search", "--group", "Z13", "--k", "2", "--exhaustive",
+        "--seed", "5", "--restarts", "2", "--json",
+    )
+    assert code == 2 and out == ""
+    assert "no seed or restarts" in err
+
+
 def test_verify_capacity_exit_2(capsys):
     code, _, err = run(capsys, "verify", "main", "--group", "Z20")
     assert code == 2

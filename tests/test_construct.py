@@ -5,6 +5,7 @@ import pytest
 from sigmaforge import (
     CapacityError,
     GenerationError,
+    GroupMismatchError,
     GroupSet,
     best_half_subset,
     classify_cosets,
@@ -13,6 +14,7 @@ from sigmaforge import (
     greedy_grow,
     hard_bound_diagnostic,
     make_group,
+    parse_group,
     stabilizer,
     subset_sums,
     witness_easy,
@@ -65,6 +67,14 @@ def test_witness_hard_requires_generation():
     g = make_group([8])
     with pytest.raises(GenerationError):
         witness_hard(gset(g, [2, 4]), gset(g, [0, 1, 2, 3]))
+
+
+@pytest.mark.parametrize("check", [witness_easy, witness_hard, hard_bound_diagnostic])
+def test_candidates_and_set_must_share_a_group(check):
+    C = gset(make_group([9]), [1, 2])
+    S = gset(parse_group("Z3xZ3"), [0, 1])
+    with pytest.raises(ValueError, match="same group"):
+        check(C, S)
 
 
 def test_witness_hard_example():
@@ -189,6 +199,14 @@ def test_dense_graph_self_loops_when_b_in_h():
     assert gr.shape == "cycle"
 
 
+def test_dense_graph_rejects_generator_of_another_group():
+    g = make_group([9])
+    H = generated_subgroup(g, gset(g, [3]))
+    b = parse_group("Z3xZ3").element(1, 0)
+    with pytest.raises(GroupMismatchError):
+        dense_graph(b, gset(g, [0, 3, 6]), H, 4)
+
+
 # -- subset growth ---------------------------------------------------------
 
 def test_greedy_grow_zero_and_trace_identity():
@@ -209,6 +227,22 @@ def test_greedy_grow_example():
     # all first-step gains are 1, tie-break picks 1; then Delta maximizer 2
     assert [s.element for s in t.steps] == [1, 2]
     assert t.final_set.members() == [1, 2]
+
+
+def test_greedy_grow_takes_the_lowest_argmax_each_step():
+    rng = random.Random(11)
+    for _ in range(50):
+        n = rng.randint(2, 40)
+        g = make_group([n])
+        A = gset(g, rng.sample(range(n), rng.randint(1, n)))
+        chosen, sigma = [], [0]
+        for step in greedy_grow(A, rng.randint(0, A.card)).steps:
+            rest = [c for c in A.members() if c not in chosen]
+            deltas = [naive_delta(g, sigma, c) for c in rest]
+            assert (step.element, step.delta) == (rest[deltas.index(max(deltas))], max(deltas))
+            chosen.append(step.element)
+            sigma = sorted(set(sigma) | {g.add_index(s, step.element) for s in sigma})
+            assert step.sigma_size == len(sigma)
 
 
 def test_greedy_grow_precondition():

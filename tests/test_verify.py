@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmaforge import (
     CapacityError,
@@ -19,10 +20,12 @@ from sigmaforge import (
     verify,
     vu_check,
 )
-from sigmaforge.verify import _KneserKey, _text_lt, vu_threshold
+from sigmaforge.verify import _KneserKey, _precedes, _text_lt, vu_threshold
+import conftest
 from conftest import (
     completeness_loop,
     exhaustive_loop,
+    hillclimb_loop,
     kneser_loop,
     naive_sigma,
     search_loop,
@@ -322,6 +325,8 @@ def test_extremal_search_infeasible():
     g = parse_group("Z2xZ2")
     rec = extremal_search(g, 2)
     assert not rec.feasible
+    rec = extremal_search(g, 2, mode="hillclimb", seed=1, restarts=2)
+    assert not rec.feasible and rec.best_set is None
 
 
 def test_extremal_search_requires_seed_for_hillclimb():
@@ -329,6 +334,64 @@ def test_extremal_search_requires_seed_for_hillclimb():
         extremal_search(make_group([11]), 2, mode="hillclimb")
     with pytest.raises(ValueError, match="restarts must be >= 1"):
         extremal_search(make_group([11]), 2, mode="hillclimb", seed=1, restarts=0)
+
+
+@pytest.mark.parametrize("extra", [{"seed": 5}, {"restarts": 2}, {"seed": 5, "restarts": 2}])
+def test_extremal_search_exhaustive_rejects_seed_and_restarts(extra):
+    with pytest.raises(ValueError, match="no seed or restarts"):
+        extremal_search(make_group([13]), 2, **extra)
+
+
+@given(st.integers(1, 6), st.data())
+def test_precedes_orders_by_size_then_member_list(k, data):
+    members = st.lists(st.integers(0, 11), min_size=k, max_size=k, unique=True)
+    a, b = sorted(data.draw(members)), sorted(data.draw(members))
+    s, t = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    mask = lambda xs: sum(1 << x for x in xs)  # noqa: E731
+    assert _precedes((s, mask(a)), (t, mask(b))) == ((s, a) < (t, b))
+    assert _precedes((s, mask(a)), None)
+
+
+HILLCLIMB_GROUPS = [
+    "Z2", "Z5", "Z8", "Z12", "Z13", "Z16",
+    "Z2xZ2", "Z2xZ2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ6", "Z4xZ4",
+]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(HILLCLIMB_GROUPS), st.data())
+def test_hillclimb_matches_neighbour_loop(spec, data):
+    g = parse_group(spec)
+    k = data.draw(st.integers(1, min(6, g.order - 1)))
+    seed = data.draw(st.integers(0, 1 << 16))
+    restarts = data.draw(st.integers(1, 3))
+    rec = extremal_search(g, k, "hillclimb", seed=seed, restarts=restarts)
+    assert rec.to_json() == hillclimb_loop(g, k, seed, restarts).to_json()
+
+
+def test_hillclimb_step_runs_at_most_k_plus_one_subset_sums(monkeypatch):
+    g, k, seed, restarts = make_group([31]), 4, 2, 2
+    calls = {verify: 0, conftest: 0}
+
+    def count(module):
+        fold = module.subset_sums
+
+        def counted(A):
+            calls[module] += 1
+            return fold(A)
+
+        monkeypatch.setattr(module, "subset_sums", counted)
+
+    count(verify)
+    count(conftest)
+    rec = extremal_search(g, k, "hillclimb", seed=seed, restarts=restarts)
+    assert rec.to_json() == hillclimb_loop(g, k, seed, restarts).to_json()
+    # The oracle folds each start, all k * (30 - k) neighbours of every
+    # step, and the winner once more; that count gives the number of steps.
+    neighbours = k * (g.order - 1 - k)
+    steps, left = divmod(calls[conftest] - restarts - 1, neighbours)
+    assert left == 0 and steps >= restarts
+    assert calls[verify] <= (k + 1) * steps
 
 
 def test_run_json_excludes_timing_by_default():
