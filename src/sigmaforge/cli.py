@@ -227,10 +227,16 @@ def _cmd_construct(args) -> int:
     group = parse_group(args.group)
     A = parse_set(group, args.set)
     if args.exact:
+        if args.u is not None and 2 * args.u != A.card:
+            raise ValueError(
+                f"exact search takes --u = |A|/2, not {args.u} with |A| = {A.card}"
+            )
         B, size = best_half_subset(A)
         payload = {"mode": "exact", "subset": B.literal(), "sigma_size": size}
         _emit(args, payload, [f"best subset = {{{B.literal()}}}, |Sigma| = {size}"])
     else:
+        if args.u is None:
+            raise ValueError("greedy construction needs --u")
         trace = greedy_grow(A, args.u)
         payload = {
             "mode": "greedy",
@@ -323,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="greedy or exact subset growth")
     p.add_argument("--group", required=True)
     p.add_argument("--set", required=True)
-    p.add_argument("--u", type=int, default=0)
+    p.add_argument("--u", type=int)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--greedy", action="store_true")
     mode.add_argument("--exact", action="store_true")

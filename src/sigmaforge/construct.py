@@ -3,7 +3,9 @@
 Witness extraction scans for the shift-growth argmax over a candidate
 set, the sparse/dense coset classifier and its Cayley-subgraph
 diagnostics cover the coset case analysis, and two subset-growers (a
-greedy heuristic and an exact DFS) realize the half-size subset maximum.
+greedy heuristic and an exact search on `setcalc.subset_walk` that skips
+prefixes which cannot beat the best so far) realize the half-size subset
+maximum.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .setcalc import (
     _iter_bits,
     _shift_mask,
     generated_subgroup,
+    subset_walk,
     sumset,
 )
 
@@ -144,9 +147,13 @@ def classify_cosets(S: GroupSet, H: Subgroup, u: int):
     (possible only when 2*|H| < u+1) resolve dense-first with the
     ambiguity flagged.
     """
+    return _classify(S, quotient(S.group, H), u)
+
+
+def _classify(S: GroupSet, q, u: int):
+    """`classify_cosets` over the cosets of the quotient map `q`."""
     if u < 0:
         raise ValueError("u must be nonnegative")
-    q = quotient(S.group, H)
     out = []
     for c in range(q.num_cosets):
         qmask = q.coset_mask(c)
@@ -171,10 +178,9 @@ def classify_cosets(S: GroupSet, H: Subgroup, u: int):
 def dense_graph(b: Element, S: GroupSet, H: Subgroup, u: int) -> DenseGraph:
     """Cayley subgraph on the dense H-cosets with generator b + H."""
     _check_same(S, b)
-    classes = classify_cosets(S, H, u)
-    W = tuple(cc.coset for cc in classes if cc.label == "dense")
-    wset = set(W)
     q = quotient(S.group, H)
+    W = tuple(cc.coset for cc in _classify(S, q, u) if cc.label == "dense")
+    wset = set(W)
     bcoset = q.project(b.index)
     qg = q.quotient_group
     arcs = tuple(
@@ -234,9 +240,13 @@ def best_half_subset(A: GroupSet):
     """Exact max of |Sigma(B)| over half-size subsets B of A.
 
     |A| must be even (= 2u); ties resolve to the lexicographically least
-    B.  DFS in ascending element order with an incremental Sigma bitmap;
-    branches are cut when doubling Sigma for every remaining pick cannot
-    beat the incumbent.
+    B.  One `subset_walk` over the prefixes of the u-subsets, in
+    `combinations` order; a leaf is taken only when its |Sigma| is strictly
+    larger, so the first maximal leaf wins.  Adding one element a at most
+    doubles Sigma, since Sigma(B ∪ {a}) = Sigma(B) | (Sigma(B) + a); so no
+    u-subset extending B has |Sigma| above min(|G|, |Sigma(B)|·2^(u - |B|)),
+    and a prefix whose bound does not beat the best so far is skipped.  A
+    leaf at min(|G|, 2^u) ends the walk: nothing can beat it.
     """
     if A.card % 2:
         raise ValueError("|A| must be even")
@@ -246,29 +256,17 @@ def best_half_subset(A: GroupSet):
         )
     g = A.group
     u = A.card // 2
-    elems = A.members()
-    best = {"size": -1, "subset": None}
-
-    def rec(i, picked, sigma, chosen):
-        if picked == u:
-            size = sigma.bit_count()
-            if size > best["size"]:
-                best["size"] = size
-                best["subset"] = tuple(chosen)
-            return
-        remaining = len(elems) - i
-        need = u - picked
-        if remaining < need:
-            return
-        bound = min(g.order, sigma.bit_count() << need)
-        if bound <= best["size"]:
-            return
-        a = elems[i]
-        chosen.append(a)
-        rec(i + 1, picked + 1, sigma | _shift_mask(g, sigma, a), chosen)
-        chosen.pop()
-        rec(i + 1, picked, sigma, chosen)
-
-    rec(0, 0, 1, [])
-    subset = GroupSet.from_indices(g, best["subset"])
-    return subset, best["size"]
+    ceiling = min(g.order, 1 << u)
+    best_size, best = -1, 0
+    walk = subset_walk(g, A.members(), u)
+    for mask, sigma in walk:
+        size = sigma.bit_count()
+        need = u - mask.bit_count()
+        if need:
+            if min(g.order, size << need) <= best_size:
+                walk.send(True)
+        elif size > best_size:
+            best_size, best = size, mask
+            if size == ceiling:
+                break
+    return GroupSet(g, best), best_size

@@ -142,6 +142,12 @@ def subset_walk(group: Group, elems, size=None):
     `itertools.combinations` order.  A j-subset is such a prefix iff its
     members lie in the first n - size + j positions, so the walk has
     sum_j C(n - size + j, j) = C(n + 1, size) nodes.
+
+    Right after a node is yielded, the consumer may call `walk.send(True)`
+    to skip that node's subtree: the walk answers the `send` with a bare
+    `yield` (so `send` returns None), and the consumer's loop goes on with
+    the next node outside the subtree, still in lex order.  Skipping the
+    root ends the walk.
     """
     elems = sorted(elems)
     n = len(elems)
@@ -151,7 +157,9 @@ def subset_walk(group: Group, elems, size=None):
         room = n - size  # depth d extends by positions <= room + d only
     full = group.full_mask
     path = [(-1, 0, 1)]  # (position in `elems` of max(B), B, Sigma(B))
-    yield 0, 1
+    if (yield 0, 1):
+        yield
+        return
     nxt = 0  # position of the next child to try
     while path:
         depth = len(path) - 1
@@ -161,8 +169,10 @@ def subset_walk(group: Group, elems, size=None):
             if s != full:  # Sigma(B) = G stays G
                 s |= _shift_mask(group, s, a)
             m |= 1 << a
-            path.append((nxt, m, s))
-            yield m, s
+            if (yield m, s):
+                yield  # skipped: the next sibling follows
+            else:
+                path.append((nxt, m, s))
             nxt += 1
         else:
             nxt = path.pop()[0] + 1

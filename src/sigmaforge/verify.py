@@ -5,11 +5,15 @@ modes draw instances from a seeded RNG so every reported number is
 replayable.  Every verifier streams its instances, in a fixed order, on a
 single thread, so no instance list is ever held in memory.  Exhaustive
 `main`/`corollary` and exhaustive `extremal_search` walk the subsets with
-`setcalc.subset_walk`: one rotation per subset, since each Sigma extends its
-parent's.  `main`/`corollary` run one `stabilizer` per distinct Sigma; the
-search walks only the prefixes of its k-subsets and runs `stabilizer` only on
-a k-subset that would beat the best so far; its hill-climb mode reaches each
-neighbour's Sigma with one rotation.  The walk visits the subsets in
+`setcalc.subset_walk`: one rotation per subset walked, since each Sigma
+extends its parent's, and both skip the subtrees whose answer is already
+known.  In `main`/`corollary` a subset whose Sigma is all of G settles its
+extensions, which are counted without being walked, and `stabilizer` runs
+once per distinct Sigma.  The search walks only the prefixes of its
+k-subsets, skips a prefix whose Sigma is full or no smaller than the best
+so far, and runs `stabilizer` only on a k-subset that would beat the best
+so far; its hill-climb mode reaches each neighbour's Sigma with one
+rotation.  The walk visits the subsets in
 lex order of their member lists, so the first least-slack subset is the
 lex-least witness.  The other verifiers evaluate each instance
 through `_verify`; both paths assemble the run in `_run`.  The completeness
@@ -43,7 +47,7 @@ from .bounds import (
     subset_report,
 )
 
-EXHAUSTIVE_SUBSET_CAP = 16
+EXHAUSTIVE_SUBSET_CAP = 24
 KNESER_PAIRS_CAP = 8
 OLSON_CAP = 23
 VU_ENUM_CAP = 200_000
@@ -216,16 +220,24 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
     """`main` or `corollary` on every subset of `group`, in one `subset_walk`.
 
     stab(Sigma(A)) is a function of Sigma(A) alone, so it is computed once
-    per distinct Sigma mask.  Reports and literals are built only for the
-    failing subsets, listed in mask order, and for the witness.
+    per distinct Sigma mask.  A node B with Sigma(B) = G settles its
+    subtree: every extension has Sigma = G, so H = G and |A \\ H| = 0, the
+    same terms as B.  Its 2^r - 1 extensions, r = |G| - max(B) - 1, are
+    counted (and listed if B fails) without being walked.  They come after
+    B in walk order and tie its slack, and only a strictly smaller slack
+    replaces the witness, so the witness is the one the full walk finds.
+    Reports and literals are built only for the failing subsets, listed in
+    mask order, and for the witness.
     """
     t0 = time.perf_counter()
     sides = main_sides if theorem == "main" else corollary_sides
+    full = group.full_mask
     terms = {}  # Sigma mask -> (|Sigma|, H mask, |H|), H = stab(Sigma)
     failing = []
     count = 0
     best_slack = best = None
-    for mask, sigma in subset_walk(group, range(group.order)):
+    walk = subset_walk(group, range(group.order))
+    for mask, sigma in walk:
         count += 1
         t = terms.get(sigma)
         if t is None:
@@ -239,6 +251,15 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
             failing.append((mask, sigma_size, h_size, outside))
         if best_slack is None or slack < best_slack:
             best_slack, best = slack, mask
+        if sigma == full:
+            top = mask.bit_length()
+            extensions = range(1, 1 << group.order - top)
+            count += len(extensions)
+            if slack < 0:
+                failing.extend(
+                    (mask | j << top, sigma_size, h_size, outside) for j in extensions
+                )
+            walk.send(True)
     counterexamples = [
         {
             "set": GroupSet(group, mask).literal(),
@@ -552,7 +573,9 @@ def extremal_search(
     Sets are bitmaps ranked by `_precedes`; `stabilizer` runs only on a set
     that would become the best so far.  Exhaustive mode walks the k-subsets
     in `combinations` order, so the first least |Sigma| precedes the later
-    ones and wins ties.  Hill-climb moves from each seeded random k-set A
+    ones and wins ties.  It skips the subtree of a prefix whose Sigma is G,
+    since stab(G) = G makes every extension infeasible, or is no smaller than
+    the best so far, since Sigma only grows along the path.  Hill-climb moves from each seeded random k-set A
     to its least feasible neighbour A - out + inc that precedes A, until
     none does; each neighbour's Sigma is one rotation of Sigma(A \\ {out}),
     since Sigma(B ∪ {x}) = Sigma(B) | (Sigma(B) + x).
@@ -572,11 +595,13 @@ def extremal_search(
             raise CapacityError(
                 f"C({len(nonzero)}, {k}) exceeds enumeration cap {SEARCH_ENUM_CAP}"
             )
-        for mask, sigma in subset_walk(group, nonzero, k):
+        full = group.full_mask
+        walk = subset_walk(group, nonzero, k)
+        for mask, sigma in walk:
             size = sigma.bit_count()
-            if mask.bit_count() != k or (best is not None and size >= best[0]):
-                continue
-            if feasible(sigma):
+            if sigma == full or (best is not None and size >= best[0]):
+                walk.send(True)
+            elif mask.bit_count() == k and feasible(sigma):
                 best = (size, mask)
     elif mode == "hillclimb":
         if seed is None or restarts is None:

@@ -3,7 +3,8 @@
 The `naive_*` oracles are kept independent of the bitmap kernels.  The
 `*_loop` oracles check one instance at a time, computing its Sigma with
 `subset_sums` and formatting every report, so they pin the output of the
-subset walk and of the incremental hill-climb in `verify` byte for byte.
+subset walk's clients and of the incremental hill-climb in `verify` byte
+for byte.
 """
 
 from __future__ import annotations
@@ -196,6 +197,22 @@ def hillclimb_loop(group, k, seed, restarts):
         ratio_num=4 * (sigma.card - len(H)), ratio_den=outside * outside,
         seed=seed, restarts=restarts,
     )
+
+
+def half_subset_loop(A):
+    """`best_half_subset(A)` over `itertools.combinations`, Sigma from `naive_sigma`.
+
+    The |A|/2-subsets come in lex order of their member lists, and only a
+    strictly larger |Sigma| replaces the best, so the lex-first subset of
+    maximal |Sigma| wins.
+    """
+    g = A.group
+    best = None  # (|Sigma|, idxs)
+    for idxs in itertools.combinations(A.members(), A.card // 2):
+        size = len(naive_sigma(g, idxs))
+        if best is None or size > best[0]:
+            best = (size, idxs)
+    return GroupSet.from_indices(g, best[1]), best[0]
 
 
 def kneser_loop(groups, m_max, trials, seed):

@@ -214,7 +214,7 @@ def test_search_exhaustive_rejects_seed_and_restarts_exit_2(capsys):
 
 
 def test_verify_capacity_exit_2(capsys):
-    code, _, err = run(capsys, "verify", "main", "--group", "Z20")
+    code, _, err = run(capsys, "verify", "main", "--group", "Z25")
     assert code == 2
     assert "cap" in err
 
@@ -273,6 +273,23 @@ def test_construct_greedy_negative_u_exit_2(capsys):
     )
     assert code == 2 and out == ""
     assert "must be >= 0" in err
+
+
+def test_construct_exact_rejects_u_other_than_half_exit_2(capsys):
+    code, out, err = run(
+        capsys, "construct", "--group", "Z100", "--set", "1;2;3;4", "--exact", "--u", "3"
+    )
+    assert code == 2 and out == ""
+    assert "|A|/2" in err
+
+
+def test_construct_greedy_needs_u_exit_2(capsys):
+    for mode in (["--greedy"], []):
+        code, out, err = run(
+            capsys, "construct", "--group", "Z100", "--set", "1;2;3;4", *mode
+        )
+        assert code == 2 and out == "", mode
+        assert "needs --u" in err, mode
 
 
 def test_element_with_wrong_coordinate_count_exit_2(capsys):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmaforge import (
     CapacityError,
@@ -20,6 +21,8 @@ from sigmaforge import (
     witness_easy,
     witness_hard,
 )
+from sigmaforge import construct
+from conftest import half_subset_loop
 
 
 def gset(g, idxs):
@@ -207,6 +210,22 @@ def test_dense_graph_rejects_generator_of_another_group():
         dense_graph(b, gset(g, [0, 3, 6]), H, 4)
 
 
+def test_dense_graph_builds_the_quotient_once(monkeypatch):
+    calls = []
+    real = construct.quotient
+
+    def counted(group, H):
+        calls.append(H)
+        return real(group, H)
+
+    monkeypatch.setattr(construct, "quotient", counted)
+    g = make_group([24])
+    H = generated_subgroup(g, gset(g, [12]))
+    gr = dense_graph(g.element(1), gset(g, [0, 12, 1, 13]), H, 16)
+    assert gr.arcs == ((0, 1),)
+    assert len(calls) == 1
+
+
 # -- subset growth ---------------------------------------------------------
 
 def test_greedy_grow_zero_and_trace_identity():
@@ -297,6 +316,31 @@ def test_best_half_oracle_small():
         len(naive_sigma(g, comb)) for comb in combinations(A.members(), 3)
     )
     assert size == brute
+
+
+def test_best_half_enters_a_prefix_whose_bound_beats_the_best_by_one():
+    # after {1, 3, 4} (|Sigma| = 7) the prefix {1, 4} has |Sigma| = 4 and
+    # bound 4 * 2 = 8, and its leaf {1, 4, 8} reaches 8
+    g = make_group([10])
+    B, size = best_half_subset(gset(g, [1, 3, 4, 6, 8, 9]))
+    assert (B.members(), size) == ([1, 4, 8], 8)
+
+
+HALF_GROUPS = [
+    "Z7", "Z10", "Z12", "Z16", "Z31", "Z64", "Z2xZ4", "Z3xZ6", "Z2xZ2xZ4", "Z4xZ4",
+]
+
+
+@given(st.sampled_from(HALF_GROUPS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_best_half_matches_combinations_loop(spec, data):
+    g = parse_group(spec)
+    m = data.draw(st.sampled_from(range(0, min(12, g.order) + 1, 2)))
+    A = gset(g, data.draw(st.lists(st.integers(0, g.order - 1), unique=True,
+                                   min_size=m, max_size=m)))
+    B, size = best_half_subset(A)
+    want_B, want_size = half_subset_loop(A)
+    assert (B.members(), size) == (want_B.members(), want_size)
 
 
 def test_best_half_capacity():

@@ -243,6 +243,37 @@ def test_subset_walk_leaves_in_combinations_order(factors, data):
     assert len(masks) == comb(g.order, k)
 
 
+def _below(m, s):
+    """Whether subset `m` lies in the walk subtree under `s`, below `s` itself."""
+    return m != s and m & s == s and (m ^ s) >> s.bit_length() << s.bit_length() == m ^ s
+
+
+@given(st.sampled_from(WALK_GROUPS), st.data())
+@settings(max_examples=60)
+def test_subset_walk_skips_exactly_the_sent_subtrees(factors, data):
+    g = make_group(factors)
+    elems = data.draw(st.lists(st.integers(0, g.order - 1), unique=True, max_size=8))
+    size = data.draw(st.none() | st.integers(0, len(elems)))
+    nodes = list(subset_walk(g, elems, size))
+    skip = data.draw(st.sets(st.sampled_from([m for m, _ in nodes])))
+    walk = subset_walk(g, elems, size)
+    seen = []
+    for mask, sigma in walk:
+        seen.append((mask, sigma))
+        if mask in skip:
+            assert walk.send(True) is None
+    assert seen == [(m, s) for m, s in nodes if not any(_below(m, b) for b in skip)]
+
+
+def test_subset_walk_skipping_the_root_ends_it():
+    g = make_group([6])
+    for size in (None, 0, 2):
+        walk = subset_walk(g, range(6), size)
+        assert next(walk) == (0, 1)
+        assert walk.send(True) is None
+        assert list(walk) == []
+
+
 def test_subsequence_sums_examples():
     g9 = make_group([9])
     assert subsequence_sums(SequenceMS(g9)).members() == [0]

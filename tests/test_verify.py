@@ -20,6 +20,7 @@ from sigmaforge import (
     verify,
     vu_check,
 )
+from sigmaforge.setcalc import subset_walk
 from sigmaforge.verify import _KneserKey, _precedes, _text_lt, vu_threshold
 import conftest
 from conftest import (
@@ -59,7 +60,7 @@ def test_exhaustive_kneser_pairs():
 
 def test_exhaustive_capacity():
     with pytest.raises(CapacityError):
-        exhaustive_theorem(make_group([17]), "main")
+        exhaustive_theorem(make_group([25]), "main")
     with pytest.raises(CapacityError):
         exhaustive_theorem(make_group([9]), "kneser-pairs")
 
@@ -74,7 +75,7 @@ TIGHTENED = {
 }
 
 
-@pytest.mark.parametrize("spec", ["Z8", "Z2xZ4", "Z2xZ2xZ2"])
+@pytest.mark.parametrize("spec", ["Z1", "Z5", "Z8", "Z12", "Z2xZ4", "Z2xZ6", "Z2xZ2xZ2"])
 @pytest.mark.parametrize("theorem", ["main", "corollary"])
 def test_exhaustive_counterexamples_match_loop(theorem, spec, monkeypatch):
     name = f"{theorem}_sides"
@@ -82,8 +83,42 @@ def test_exhaustive_counterexamples_match_loop(theorem, spec, monkeypatch):
         monkeypatch.setattr(module, name, TIGHTENED[name])
     g = parse_group(spec)
     run = exhaustive_theorem(g, theorem)
-    assert 0 < len(run.counterexamples) < run.stats["instances"]
+    # a full Sigma fails the tightened sides unless |G| = 1, so every
+    # settled subtree of a larger group lists its subsets as failing
+    assert (len(run.counterexamples) > 0) == (g.order > 1)
+    assert len(run.counterexamples) < run.stats["instances"]
     assert run.to_json() == exhaustive_loop(g, theorem).to_json()
+
+
+class _CountedWalk:
+    """A `subset_walk` that counts the nodes it yields, passing `send` on."""
+
+    def __init__(self, walk):
+        self.walk, self.nodes = walk, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        node = next(self.walk)
+        self.nodes += 1
+        return node
+
+    def send(self, value):
+        return self.walk.send(value)
+
+
+def test_exhaustive_walk_settles_full_sigma_subtrees(monkeypatch):
+    walks = []
+
+    def counted(*args):
+        walks.append(_CountedWalk(subset_walk(*args)))
+        return walks[-1]
+
+    monkeypatch.setattr(verify, "subset_walk", counted)
+    run = exhaustive_theorem(make_group([16]), "main")
+    assert run.stats["instances"] == 1 << 16
+    assert [w.nodes for w in walks] == [12_710]
 
 
 def test_random_kneser_runs_clean():
