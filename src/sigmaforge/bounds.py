@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .groups import Subgroup
+from .groups import GroupMismatchError, Subgroup
 from .setcalc import (
     GroupSet,
     SequenceMS,
@@ -60,7 +60,7 @@ def kneser_bound(sets) -> BoundReport:
     group = sets[0].group
     for A in sets:
         if A.group != group:
-            raise ValueError("summands from different groups")
+            raise GroupMismatchError("summands from different groups")
         if A.mask == 0:
             raise ValueError("kneser bound requires nonempty summands")
     total = sets[0]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .groups import CapacityError, Element, GenerationError, Subgroup, quotient
 from .setcalc import (
+    GroupMismatchError,
     GroupSet,
     _check_same,
     _iter_bits,
@@ -90,7 +91,7 @@ def _check_candidates(C: GroupSet, S: GroupSet) -> int:
     if C.mask == 0:
         raise ValueError("candidate set must be nonempty")
     if C.group != S.group:
-        raise ValueError("C and S must live in the same group")
+        raise GroupMismatchError("C and S must live in the same group")
     return min(S.card, S.group.order - S.card)
 
 
@@ -243,10 +244,11 @@ def best_half_subset(A: GroupSet):
     B.  One `subset_walk` over the prefixes of the u-subsets, in
     `combinations` order; a leaf is taken only when its |Sigma| is strictly
     larger, so the first maximal leaf wins.  Adding one element a at most
-    doubles Sigma, since Sigma(B ∪ {a}) = Sigma(B) | (Sigma(B) + a); so no
-    u-subset extending B has |Sigma| above min(|G|, |Sigma(B)|·2^(u - |B|)),
-    and a prefix whose bound does not beat the best so far is skipped.  A
-    leaf at min(|G|, 2^u) ends the walk: nothing can beat it.
+    doubles Sigma, since Sigma(B ∪ {a}) = Sigma(B) | (Sigma(B) + a), and
+    Sigma(B) lies in <A>; so no u-subset extending B has |Sigma| above
+    min(|<A>|, |Sigma(B)|·2^(u - |B|)), and a prefix whose bound does not
+    beat the best so far is skipped.  A leaf at min(|<A>|, 2^u) ends the
+    walk: nothing can beat it.
     """
     if A.card % 2:
         raise ValueError("|A| must be even")
@@ -256,14 +258,15 @@ def best_half_subset(A: GroupSet):
         )
     g = A.group
     u = A.card // 2
-    ceiling = min(g.order, 1 << u)
+    span = len(generated_subgroup(g, A))
+    ceiling = min(span, 1 << u)
     best_size, best = -1, 0
     walk = subset_walk(g, A.members(), u)
     for mask, sigma in walk:
         size = sigma.bit_count()
         need = u - mask.bit_count()
         if need:
-            if min(g.order, size << need) <= best_size:
+            if min(span, size << need) <= best_size:
                 walk.send(True)
         elif size > best_size:
             best_size, best = size, mask

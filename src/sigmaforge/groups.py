@@ -239,9 +239,12 @@ class GroupSet:
         `index // width`); a one-digit run prints it with `str`, a longer
         run looks it up in a table of the run's literals.  So no table
         outgrows the output or the constant, and there is no per-element
-        Python code.
+        Python code.  Each run has a fixed cost, so a set with fewer members
+        than G has digits is formatted one element at a time instead.
         """
         rest = self.members()
+        if len(rest) < len(self.group.factors):
+            return ";".join(map(self.group.element_literal, rest))
         limit = min(len(rest), _RUN_TABLE_MAX)
         runs = []
         for n in self.group.factors:
@@ -296,12 +299,11 @@ def _iter_bits(mask: int):
     """Set bit positions, lowest first, lazily.
 
     The scan of `sumset`'s early-exit rotation loop, the greedy argmax loops
-    in `construct`, `generated_subgroup`, `fold_to_quotient`,
-    `GroupSet.elements` and the lazy Kneser literal in `verify`.
-    `subset_sums` peels its bits inline instead, since it runs once per
-    verified instance.  Kept apart from `GroupSet.members`: a lazy
-    `find`-scan generator measured 20-70% slower on masks of at most 73
-    bits, and the loops may stop early.
+    in `construct`, `fold_to_quotient`, `GroupSet.elements` and the lazy
+    Kneser literal in `verify`.  `subset_sums` peels its bits inline
+    instead, since it runs once per verified instance.  Kept apart from
+    `GroupSet.members`: a lazy `find`-scan generator measured 20-70% slower
+    on masks of at most 73 bits, and the loops may stop early.
     """
     while mask:
         low = mask & -mask
@@ -367,20 +369,37 @@ def neg(group: Group, a: Element) -> Element:
 class Subgroup(GroupSet):
     """A `GroupSet` closed under the group operations.
 
-    `validate=False` is for sets closed by construction (stabilizers,
-    closures); anything else is checked by `quotient`.
+    Checked once, here, by the closure `_join` (skipped for G, a common
+    stabilizer); raises `InvalidSubgroupError` if the mask is not closed.
     """
 
     __slots__ = ()
 
-    def __init__(self, group, mask, validate=True):
+    def __init__(self, group, mask):
         super().__init__(group, mask)
-        if validate:
-            quotient(group, self)  # raises InvalidSubgroupError if not closed
+        if mask != group.full_mask and _join(group, 1, mask) != mask:
+            raise InvalidSubgroupError("member set is not a subgroup")
 
     @classmethod
     def trivial(cls, group):
-        return cls(group, 1, validate=False)
+        return cls(group, 1)
+
+
+def _join(group: Group, h: int, gens: int) -> int:
+    """Bitmap of <H ∪ gens> for the subgroup bitmap h and any bitmap gens.
+
+    Joins the lowest generator c outside h by doubling, H_{k+1} = H_k |
+    (H_k + 2^k·c) from H_0 = H, until 2^k·c is in H_k = H + {0, c, ...,
+    (2^k - 1)c}; then H_k + c = H + {c, ..., 2^k·c} ⊆ H_k, so H_k = <H, c>.
+    That takes ceil(log2 m) rotations for m = |<H, c>| / |H| >= 2, so a
+    closure takes at most 2·log2(|<H ∪ gens>| / |H|).
+    """
+    while rest := gens & ~h:
+        step = (rest & -rest).bit_length() - 1
+        while not h >> step & 1:
+            h |= _shift_mask(group, h, step)
+            step = group.add_index(step, step)
+    return h
 
 
 class Quotient:
@@ -429,19 +448,20 @@ class Quotient:
         return _shift_mask(self.group, self.subgroup.mask, self.lift(c))
 
 
-def quotient(group: Group, H: Subgroup) -> Quotient:
+def quotient(group: Group, H: GroupSet) -> Quotient:
     """G/H from a triangular lattice basis and its Smith normal form.
 
-    Row j of the basis is a member of H whose coordinates below j are 0 and
-    whose coordinate j is the least divisor c_j of n_j any such member has
-    (n_j e_j if none has one).  If H + row == H for every row and
-    |H| * prod(c_j) == |G|, the rows generate a subgroup K of H with
-    |K| >= |G| / prod(c_j) = |H|, so H = K is a subgroup.
+    A plain `GroupSet` is first made a `Subgroup`, which checks it.  Row j
+    of the basis is a member of H whose coordinates below j are 0 and whose
+    coordinate j is the least divisor c_j of n_j any such member has (n_j
+    e_j if none has one).  The coordinates j of those members form the
+    subgroup c_j Z_{n_j}, so subtracting row multiples digit by digit
+    reduces any x in the lattice of H to 0: the rows span it.
     """
     if H.group != group:
         raise GroupMismatchError("subgroup of a different group")
-    if not H.mask & 1:
-        raise InvalidSubgroupError("subgroup must contain 0")
+    if not isinstance(H, Subgroup):
+        H = Subgroup(group, H.mask)
     k = len(group.factors)
     rows = []
     for level, (n, stride, unit) in enumerate(group._digits):
@@ -450,12 +470,8 @@ def quotient(group: Group, H: Subgroup) -> Quotient:
         for c in sorted({*low, *(n // c for c in low)})[:-1]:  # divisors < n
             if hits := H.mask >> c * stride & unit:
                 g = (hits & -hits).bit_length() - 1 + c * stride
-                if _shift_mask(group, H.mask, g) != H.mask:
-                    raise InvalidSubgroupError("member set is not a subgroup")
                 rows[level] = list(group.decode(g))
                 break
-    if math.prod(r[j] for j, r in enumerate(rows)) * len(H) != group.order:
-        raise InvalidSubgroupError("member set is not a subgroup")
     return Quotient(group, H, *_smith(rows))
 
 

@@ -20,6 +20,7 @@ from .groups import (
     GroupSet,
     Subgroup,
     _iter_bits,
+    _join,
     _shift_mask,
     quotient,
 )
@@ -203,12 +204,8 @@ def stabilizer(S: GroupSet) -> Subgroup:
     - start: H = {0} and C = S - m0 for m0 = min S, as S + g = S puts
       m0 + g in S;
     - take the least c in C \\ H and test S + c = S (one rotation);
-    - if it holds, H becomes <H, c> by doubling: H_k = H + {0, c, ...,
-      (2^k - 1)c}, H_{k+1} = H_k | (H_k + 2^k·c), until 2^k·c is in H_k.
-      Then H_k + c ⊆ H_k (its top term goes to H + 2^k·c ⊆ H_k), so H_k
-      is closed and equals <H, c>; each rotation at least doubles the
-      number of H-cosets in H_k, so this takes at most log2 ord(c)
-      rotations;
+    - if it holds, H becomes <H, c> by the doubling of `groups._join`, in
+      ceil(log2 |<H, c>| / |H|) rotations;
     - if it fails, some t in S + c lies outside S, and s = t - c is in S
       with s + c outside S.  Then C &= S - s (one rotation) keeps
       stab(S), since s + g is in S for every g in it, and drops c + H,
@@ -224,7 +221,7 @@ def stabilizer(S: GroupSet) -> Subgroup:
     full = g.full_mask
     s_mask = S.mask
     if s_mask == 0 or s_mask == full:
-        return Subgroup(g, full, validate=False)
+        return Subgroup(g, full)
     if 2 * S.card > g.order:
         s_mask ^= full
     m0 = (s_mask & -s_mask).bit_length() - 1
@@ -234,32 +231,20 @@ def stabilizer(S: GroupSet) -> Subgroup:
         c = (rest & -rest).bit_length() - 1
         moved = _shift_mask(g, s_mask, c)
         if moved == s_mask:
-            step = c
-            while not h >> step & 1:
-                h |= _shift_mask(g, h, step)
-                step = g.add_index(step, step)
+            h = _join(g, h, 1 << c)
         else:
             out = moved & ~s_mask
             t = (out & -out).bit_length() - 1
             # S - s for s = t - c
             cand &= _shift_mask(g, s_mask, g.add_index(c, g.neg_index(t)))
-    return Subgroup(g, h, validate=False)
+    return Subgroup(g, h)
 
 
 def generated_subgroup(group: Group, S: GroupSet) -> Subgroup:
-    """<S>: smallest subgroup containing S, by closure iteration."""
+    """<S>: smallest subgroup containing S, by the doubling of `groups._join`."""
     if S.group != group:
         raise GroupMismatchError("set from a different group")
-    closure = 1  # always contains 0
-    frontier = [0]
-    gens = [i for s in _iter_bits(S.mask) for i in (s, group.neg_index(s))]
-    for x in frontier:
-        for gidx in gens:
-            y = group.add_index(x, gidx)
-            if not closure >> y & 1:
-                closure |= 1 << y
-                frontier.append(y)
-    return Subgroup(group, closure, validate=False)
+    return Subgroup(group, _join(group, 1, S.mask))
 
 
 def gamma(S: GroupSet, x: Element) -> int:
@@ -282,8 +267,6 @@ def deficiency(S: GroupSet, Q: GroupSet) -> int:
 
 def coset_profile(a: SequenceMS, H: Subgroup) -> CosetProfile:
     """Counts of nontrivial H-cosets holding >= j terms, for j = 1, 2, ..."""
-    if H.group != a.group:
-        raise GroupMismatchError("subgroup of a different group")
     q = quotient(a.group, H)
     counts = Counter()
     for x, m in a.mult.items():
@@ -298,7 +281,5 @@ def coset_profile(a: SequenceMS, H: Subgroup) -> CosetProfile:
 
 def fold_to_quotient(S: GroupSet, H: Subgroup) -> GroupSet:
     """Image of S in G/H, as a set over the quotient group."""
-    if H.group != S.group:
-        raise GroupMismatchError("subgroup of a different group")
     q = quotient(S.group, H)
     return GroupSet.from_indices(q.quotient_group, map(q.project, _iter_bits(S.mask)))

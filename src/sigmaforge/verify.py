@@ -476,7 +476,6 @@ def vu_check(
     n: int,
     sample: int | None = None,
     seed: int | None = None,
-    cap: int = VU_ENUM_CAP,
 ) -> VerificationRun:
     """Unit subsets of Z_n of size >= ceil(8 sqrt(n)) must have Sigma = Z_n."""
     if n < 2:
@@ -496,7 +495,7 @@ def vu_check(
         )
 
     total = sum(math.comb(phi, k) for k in range(t, phi + 1))
-    if total <= cap:
+    if total <= VU_ENUM_CAP:
         instances = (A for k in range(t, phi + 1) for A in combinations(units, k))
         return _completeness(
             group, instances, extra_stats={"threshold": t, "phi": phi},
@@ -504,7 +503,7 @@ def vu_check(
         )
     if sample is None or seed is None:
         raise CapacityError(
-            f"{total} qualifying subsets exceed cap {cap}; "
+            f"{total} qualifying subsets exceed cap {VU_ENUM_CAP}; "
             "pass sample and seed for randomized mode"
         )
     if sample < 1:

@@ -4,7 +4,8 @@ The `naive_*` oracles are kept independent of the bitmap kernels.  The
 `*_loop` oracles check one instance at a time, computing its Sigma with
 `subset_sums` and formatting every report, so they pin the output of the
 subset walk's clients and of the incremental hill-climb in `verify` byte
-for byte.
+for byte.  `count_work` counts rotations and element additions for the
+work-budget tests.
 """
 
 from __future__ import annotations
@@ -24,12 +25,18 @@ from sigmaforge import (
     stabilizer,
     subset_sums,
 )
+from sigmaforge import groups, setcalc
 
 
 def naive_literal(group, mask):
-    """`GroupSet.literal` one element at a time: sorted `element_literal`s."""
+    """`GroupSet.literal` one element at a time: sorted `element_literal`s.
+
+    Bit i is read from the binary string, so a sparse set of a large group
+    costs |G| string lookups, not |G| shifts of a |G|-bit int.
+    """
+    bits = format(mask, "b")[::-1].ljust(group.order, "0")
     return ";".join(
-        group.element_literal(i) for i in range(group.order) if mask >> i & 1
+        group.element_literal(i) for i in range(group.order) if bits[i] == "1"
     )
 
 
@@ -292,3 +299,25 @@ def completeness_loop(theorem, n, t, sample=None, seed=None):
         mode="exhaustive" if sample is None else "random",
         counterexamples=counterexamples, stats=stats, seed=seed, trials=sample,
     )
+
+
+def count_work(monkeypatch):
+    """Count `_shift_mask` calls, in `setcalc` and `groups`, and `add_index` calls.
+
+    Returns the live counts, {"rotations": r, "additions": a}.
+    """
+    calls = {"rotations": 0, "additions": 0}
+    shift_mask, add_index = groups._shift_mask, groups.Group.add_index
+
+    def rotating(group, mask, g):
+        calls["rotations"] += 1
+        return shift_mask(group, mask, g)
+
+    def adding(group, i, j):
+        calls["additions"] += 1
+        return add_index(group, i, j)
+
+    monkeypatch.setattr(setcalc, "_shift_mask", rotating)
+    monkeypatch.setattr(groups, "_shift_mask", rotating)
+    monkeypatch.setattr(groups.Group, "add_index", adding)
+    return calls

@@ -283,7 +283,7 @@ def test_criterion_11_determinism():
     s1 = random_sequence_theorem(g, 12, 500, seed=SEQ_SEED)
     s2 = random_sequence_theorem(g, 12, 500, seed=SEQ_SEED)
     ok = ok and s1.to_json() == s2.to_json()
-    v1 = vu_check(293, sample=10, seed=7, cap=10)
-    v2 = vu_check(293, sample=10, seed=7, cap=10)
+    v1 = vu_check(293, sample=10, seed=7)
+    v2 = vu_check(293, sample=10, seed=7)
     ok = ok and v1.to_json() == v2.to_json()
     report("11 determinism: byte-identical JSON across reruns", ok)

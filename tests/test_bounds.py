@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sigmaforge import (
+    GroupMismatchError,
     GroupSet,
     SequenceMS,
     Subgroup,
@@ -50,6 +51,11 @@ def test_kneser_random_triples():
             gset(g, rng.sample(range(24), rng.randint(1, 24))) for _ in range(3)
         ]
         assert kneser_bound(sets).holds
+
+
+def test_kneser_rejects_summands_from_different_groups():
+    with pytest.raises(GroupMismatchError, match="different groups"):
+        kneser_bound([gset(make_group([6]), [1]), gset(make_group([2, 3]), [1])])
 
 
 def test_kneser_rejects_empty():

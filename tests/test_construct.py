@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sigmaforge import (
     CapacityError,
@@ -22,7 +23,7 @@ from sigmaforge import (
     witness_hard,
 )
 from sigmaforge import construct
-from conftest import half_subset_loop
+from conftest import count_work, half_subset_loop
 
 
 def gset(g, idxs):
@@ -76,7 +77,7 @@ def test_witness_hard_requires_generation():
 def test_candidates_and_set_must_share_a_group(check):
     C = gset(make_group([9]), [1, 2])
     S = gset(parse_group("Z3xZ3"), [0, 1])
-    with pytest.raises(ValueError, match="same group"):
+    with pytest.raises(GroupMismatchError, match="same group"):
         check(C, S)
 
 
@@ -341,6 +342,35 @@ def test_best_half_matches_combinations_loop(spec, data):
     B, size = best_half_subset(A)
     want_B, want_size = half_subset_loop(A)
     assert (B.members(), size) == (want_B.members(), want_size)
+
+
+SPAN_GROUPS = ["Z12", "Z16", "Z24", "Z48", "Z2xZ8", "Z4xZ4", "Z3xZ6", "Z2xZ2xZ4", "Z6xZ6"]
+
+
+@given(st.sampled_from(SPAN_GROUPS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_best_half_inside_a_proper_subgroup_matches_combinations_loop(spec, data):
+    # Sigma(B) lies in <A>, so the bound and the early stop use |<A>|
+    g = parse_group(spec)
+    gens = data.draw(st.lists(st.integers(1, g.order - 1), min_size=1, max_size=2))
+    K = generated_subgroup(g, gset(g, gens))
+    assume(len(K) < g.order)
+    m = data.draw(st.sampled_from(range(0, min(12, len(K)) + 1, 2)))
+    A = gset(g, data.draw(st.lists(st.sampled_from(K.members()), unique=True,
+                                   min_size=m, max_size=m)))
+    B, size = best_half_subset(A)
+    want_B, want_size = half_subset_loop(A)
+    assert (B.members(), size) == (want_B.members(), want_size)
+
+
+def test_best_half_stops_at_the_span_of_a(monkeypatch):
+    # the 24 even elements of Z48: |<A>| = 24 is reached at the first leaf,
+    # so the walk makes u = 12 rotations besides the closure <A> and its check
+    calls = count_work(monkeypatch)
+    g = make_group([48])
+    B, size = best_half_subset(gset(g, range(0, 48, 2)))
+    assert (B.members(), size) == (list(range(0, 24, 2)), 24)
+    assert calls["rotations"] <= 12 + 4 * math.log2(48), calls
 
 
 def test_best_half_capacity():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,6 +101,17 @@ def test_literal_and_members_match_naive(factors, data):
     assert A.members() == list(_iter_bits(mask))
 
 
+@pytest.mark.parametrize("factors", [(2,) * 12, (2,) * 20])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_literal_of_sets_smaller_than_the_digit_count(factors, size):
+    g = make_group(factors)
+    rng = random.Random(size)
+    for members in (range(size), [g.order - 1 - i for i in range(size)],
+                    rng.sample(range(g.order), size)):
+        mask = sum(1 << m for m in members)
+        assert GroupSet(g, mask).literal() == naive_literal(g, mask)
+
+
 def test_generated_subgroup_examples():
     g5 = make_group([5])
     assert generated_subgroup(g5, GroupSet(g5)).members() == [0]
@@ -142,24 +155,31 @@ def test_quotient_rejects_non_subgroup():
     with pytest.raises(InvalidSubgroupError):
         Subgroup(g, 0b11)
     g24 = make_group([2, 4])
-    for group, members in ((g, [0, 1]), (g, [0, 2]), (g24, [0, 1, 3, 4])):
+    cases = ((g, [0, 1]), (g, [0, 2]), (g, [1, 3, 5]), (g, []), (g24, [0, 1, 3, 4]))
+    for group, members in cases:
         mask = sum(1 << m for m in members)
         with pytest.raises(InvalidSubgroupError):
-            quotient(group, Subgroup(group, mask, validate=False))
+            quotient(group, GroupSet(group, mask))
+        with pytest.raises(InvalidSubgroupError):
+            Subgroup(group, mask)
 
 
 @given(st.sampled_from([(12,), (4, 6), (2, 4, 2)]), st.data())
 def test_quotient_accepts_exactly_the_subgroups(factors, data):
     g = make_group(factors)
-    members = {0} | data.draw(st.sets(st.integers(0, g.order - 1), max_size=8))
+    members = data.draw(st.sets(st.integers(0, g.order - 1), max_size=8))
+    if data.draw(st.booleans()):
+        members |= {0}
     mask = sum(1 << m for m in members)
-    H = Subgroup(g, mask, validate=False)
+    plain = GroupSet(g, mask)
     if naive_closure(g, members) == sorted(members):
-        assert quotient(g, H).num_cosets * len(H) == g.order
-        assert Subgroup(g, mask) == H
+        q = quotient(g, plain)
+        assert q.num_cosets * len(plain) == g.order
+        assert isinstance(q.subgroup, Subgroup) and q.subgroup == plain
+        assert Subgroup(g, mask) == plain
     else:
         with pytest.raises(InvalidSubgroupError):
-            quotient(g, H)
+            quotient(g, plain)
         with pytest.raises(InvalidSubgroupError):
             Subgroup(g, mask)
 

@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from sigmaforge import (
     gamma,
     generated_subgroup,
     make_group,
+    parse_group,
     shift,
     stabilizer,
     subsequence_sums,
@@ -30,7 +32,13 @@ from sigmaforge import (
 from sigmaforge import setcalc
 from sigmaforge.groups import _shift_mask
 from sigmaforge.setcalc import subset_walk
-from conftest import naive_stab, naive_subseq_sigma, naive_sigma, naive_sumset
+from conftest import (
+    count_work,
+    naive_stab,
+    naive_subseq_sigma,
+    naive_sigma,
+    naive_sumset,
+)
 
 
 def gset(g, idxs):
@@ -378,6 +386,39 @@ def test_stabilizer_rotation_budget(monkeypatch):
     S = GroupSet(z4096, random.Random(0).getrandbits(4096))
     H, n = rotations(S)
     assert H == gset(z4096, [0]) and n <= 32, n
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z65536", "x".join(["Z2"] * 12), "Z3xZ9xZ27", "Z6xZ30xZ30"]
+)
+def test_generated_subgroup_rotation_budget(spec, monkeypatch):
+    # the closure and the constructor's check each join every generator by
+    # doubling, at most 2·log2|G| rotations apiece and one addition per
+    # rotation; a search element by element makes |<S>|·2|S| additions
+    g = parse_group(spec)
+    rng = random.Random(spec)
+    sets = [rng.sample(range(g.order), k) for k in (1, 2, 3, 5, 8, 40) for _ in range(5)]
+    sets += [[x] for x in rng.sample(range(1, g.order), 200)]
+    calls = count_work(monkeypatch)
+    for elems in sets:
+        calls.update(rotations=0, additions=0)
+        S = gset(g, elems)
+        K = generated_subgroup(g, S)
+        assert calls["rotations"] <= 4 * math.log2(g.order), (elems, calls)
+        assert calls["additions"] <= calls["rotations"], (elems, calls)
+        assert K.mask & S.mask == S.mask
+
+
+def test_stabilizer_of_a_subgroup_counts_its_doublings(monkeypatch):
+    # K of order 2^k in Z2^12: the first shift, one test and one doubling
+    # per generator, and the constructor's k doublings
+    z2_12 = make_group([2] * 12)
+    calls = count_work(monkeypatch)
+    for k in range(12):
+        K = generated_subgroup(z2_12, gset(z2_12, [1 << i for i in range(k)]))
+        calls["rotations"] = 0
+        assert stabilizer(K) == K
+        assert calls["rotations"] <= 3 * k + 1, (k, calls)
 
 
 def test_subgroup_is_a_group_set():

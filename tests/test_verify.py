@@ -261,17 +261,17 @@ def test_vu_single_instance_n67():
 
 
 def test_vu_sampled_mode():
-    run = vu_check(293, sample=20, seed=3, cap=10)
+    run = vu_check(293, sample=20, seed=3)
     assert run.mode == "random"
     assert run.verdict == "verified"
     with pytest.raises(CapacityError):
-        vu_check(293, cap=10)
+        vu_check(293)
 
 
 def test_vu_sampled_mode_rejects_empty_sample():
     for sample in (0, -1):
         with pytest.raises(ValueError, match="sample must be >= 1"):
-            vu_check(293, sample=sample, seed=1, cap=10)
+            vu_check(293, sample=sample, seed=1)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -291,7 +291,8 @@ def test_vu_check_matches_combinations_loop(n, t, monkeypatch):
     run = vu_check(n)
     assert run.mode == "exhaustive" and run.counterexamples
     assert run.to_json() == completeness_loop("vu", n, t).to_json()
-    run = vu_check(n, sample=40, seed=n, cap=5)
+    monkeypatch.setattr(verify, "VU_ENUM_CAP", 5)
+    run = vu_check(n, sample=40, seed=n)
     assert run.mode == "random" and run.counterexamples
     assert run.to_json() == completeness_loop("vu", n, t, 40, n).to_json()
 
