@@ -23,6 +23,11 @@ from .setcalc import (
 )
 
 
+def _canonical_json(payload) -> str:
+    """Sorted keys and no whitespace: equal payloads print byte-identically."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class BoundReport:
     name: str
@@ -41,7 +46,7 @@ class BoundReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_dict())
 
     def csv_row(self) -> str:
         ctx = ";".join(f"{k}={v}" for k, v in sorted(self.context.items()))

@@ -2,14 +2,18 @@
 
 Exit codes: 0 success/verified/vacuous, 1 theorem-violation counterexample,
 2 usage or capacity error.  Machine output (--json/--csv) goes to stdout;
-diagnostics go to stderr.
+diagnostics go to stderr.  Every option a command accepts is read: each
+`verify` theorem has its own sub-parser that declares exactly the options
+that theorem reads, and `bound` refuses (`_reject_unread`) the options its
+`--which` does not read, so an unread option exits 2 instead of being
+ignored.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import json
 import sys
 from collections import Counter
 
@@ -22,6 +26,7 @@ from .setcalc import (
     subset_sums,
 )
 from .bounds import (
+    _canonical_json,
     corollary_bound,
     kneser_bound,
     main_bound_check,
@@ -60,8 +65,8 @@ def parse_sequence(group: Group, literal: str) -> SequenceMS:
 
 
 def _emit(args, payload: dict, human_lines) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    if args.json:
+        print(_canonical_json(payload))
     else:
         for line in human_lines:
             print(line)
@@ -96,7 +101,7 @@ def _cmd_sigma(args) -> int:
 
 
 def _reject_unread(args, *options) -> None:
-    """Refuse an operand option that `bound --which` would silently ignore."""
+    """Refuse an option that `bound --which` would silently ignore."""
     for name in options:
         if getattr(args, name) is not None:
             raise ValueError(f"{args.which} bound does not read --{name}")
@@ -106,7 +111,7 @@ def _cmd_bound(args) -> int:
     if args.which == "recursive":
         if args.u is None:
             raise ValueError("recursive bound needs --u")
-        _reject_unread(args, "set", "seq")
+        _reject_unread(args, "set", "seq", "group", "csv")
         value = recursive_bound_numerator(args.u)
         _emit(
             args,
@@ -116,7 +121,7 @@ def _cmd_bound(args) -> int:
         return 0
     if args.group is None:
         raise ValueError(f"{args.which} bound needs --group")
-    _reject_unread(args, "set" if args.which == "sequence" else "seq")
+    _reject_unread(args, "u", "set" if args.which == "sequence" else "seq")
     group = parse_group(args.group)
     if args.which == "kneser":
         if not args.set:
@@ -133,7 +138,7 @@ def _cmd_bound(args) -> int:
             )
         A = parse_set(group, args.set[0] if args.set else "")
         rep = main_bound_check(A) if args.which == "main" else corollary_bound(A)
-    if getattr(args, "csv", False):
+    if args.csv:
         print(rep.csv_row())
     else:
         _emit(
@@ -149,32 +154,21 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.group is None and args.theorem not in ("olson", "vu", "interval"):
-        raise ValueError(f"verify {args.theorem} needs --group")
+    """Run `args.theorem`; its sub-parser has supplied every option it reads."""
     if args.theorem in ("main", "corollary", "kneser-pairs"):
         group = parse_group(args.group)
         run = vf.exhaustive_theorem(group, args.theorem)
     elif args.theorem == "kneser":
-        if args.seed is None:
-            raise ValueError("randomized verify requires --seed")
         groups = [parse_group(s) for s in args.group.split(";")]
         run = vf.random_kneser(groups, args.m_max, args.trials, args.seed)
     elif args.theorem == "sequence":
-        if args.seed is None:
-            raise ValueError("randomized verify requires --seed")
         group = parse_group(args.group)
         run = vf.random_sequence_theorem(group, args.n_max, args.trials, args.seed)
     elif args.theorem == "olson":
-        if args.p is None:
-            raise ValueError("olson verify needs --p")
         run = vf.olson_check(args.p)
     elif args.theorem == "vu":
-        if args.n is None:
-            raise ValueError("vu verify needs --n")
         run = vf.vu_check(args.n, sample=args.sample, seed=args.seed)
-    elif args.theorem == "interval":
-        if args.n is None:
-            raise ValueError("interval example needs --n")
+    else:  # interval
         record = vf.interval_example(args.n)
         _emit(
             args,
@@ -188,8 +182,6 @@ def _cmd_verify(args) -> int:
             ],
         )
         return 0
-    else:
-        raise ValueError(f"unknown theorem {args.theorem!r}")
 
     if args.json:
         print(run.to_json())
@@ -240,10 +232,7 @@ def _cmd_construct(args) -> int:
         trace = greedy_grow(A, args.u)
         payload = {
             "mode": "greedy",
-            "trace": [
-                {"element": s.element, "delta": s.delta, "sigma_size": s.sigma_size}
-                for s in trace.steps
-            ],
+            "trace": [dataclasses.asdict(s) for s in trace.steps],
             "subset": trace.final_set.literal(),
         }
         _emit(
@@ -286,33 +275,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append")
     p.add_argument("--seq")
     p.add_argument("--u", type=int)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true")
+    # None when absent, like the operands `_reject_unread` checks
+    output.add_argument("--csv", action="store_true", default=None)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("verify", help="run a verification harness")
-    p.add_argument(
-        "theorem",
-        choices=[
-            "main",
-            "corollary",
-            "kneser-pairs",
-            "kneser",
-            "sequence",
-            "olson",
-            "vu",
-            "interval",
-        ],
-    )
-    p.add_argument("--group")
-    p.add_argument("--p", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--sample", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--json", action="store_true")
+    theorems = p.add_subparsers(dest="theorem", required=True)
+    # (theorems, required options, optional options with defaults); every
+    # option but --group is an int.  No abbreviations: `sequence` would
+    # read --n as --n-max.
+    for names, required, optional in [
+        (("main", "corollary", "kneser-pairs"), ("--group",), {}),
+        (("kneser",), ("--group", "--seed"), {"--m-max": 5, "--trials": 1000}),
+        (("sequence",), ("--group", "--seed"), {"--n-max": 12, "--trials": 1000}),
+        (("olson",), ("--p",), {}),
+        (("vu",), ("--n",), {"--sample": None, "--seed": None}),
+        (("interval",), ("--n",), {}),
+    ]:
+        for name in names:
+            t = theorems.add_parser(name, allow_abbrev=False)
+            for option in required:
+                kind = str if option == "--group" else int
+                t.add_argument(option, type=kind, required=True)
+            for option, default in optional.items():
+                t.add_argument(option, type=int, default=default)
+            t.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="search for extremal low-|Sigma| sets")

@@ -10,10 +10,9 @@ maximum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .groups import CapacityError, Element, GenerationError, Subgroup, quotient
+from .groups import CapacityError, Element, GenerationError, Subgroup, _join, quotient
 from .setcalc import (
     GroupMismatchError,
     GroupSet,
@@ -65,15 +64,6 @@ class GrowthStep:
 class GrowthTrace:
     steps: tuple
     final_set: GroupSet
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {"element": s.element, "delta": s.delta, "sigma_size": s.sigma_size}
-                for s in self.steps
-            ],
-            separators=(",", ":"),
-        )
 
 
 def _argmax_delta(group, cand: int, s: int):
@@ -258,7 +248,7 @@ def best_half_subset(A: GroupSet):
         )
     g = A.group
     u = A.card // 2
-    span = len(generated_subgroup(g, A))
+    span = _join(g, 1, A.mask).bit_count()
     ceiling = min(span, 1 << u)
     best_size, best = -1, 0
     walk = subset_walk(g, A.members(), u)

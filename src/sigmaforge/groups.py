@@ -16,6 +16,7 @@ lattice, together with the projection G -> G/H.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -132,9 +133,6 @@ class Group:
             coords = tuple(coords[0])
         return Element(self, self.encode(coords))
 
-    def elements(self):
-        return (Element(self, i) for i in range(self.order))
-
     def spec(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)
 
@@ -193,12 +191,7 @@ class GroupSet:
     def from_indices(cls, group, indices):
         mask = 0
         for i in indices:
-            if isinstance(i, Element):
-                if i.group != group:
-                    raise GroupMismatchError("element from a different group")
-                i = i.index
-            else:
-                i = int(i)
+            i = _index_of(group, i)
             if not 0 <= i < group.order:
                 raise ValueError(f"element index {i} out of range")
             mask |= 1 << i
@@ -224,9 +217,6 @@ class GroupSet:
         pieces.pop()  # the zeros above the top member
         return list(accumulate(map(len, pieces), initial=-1))[1:]
 
-    def elements(self):
-        return [Element(self.group, i) for i in _iter_bits(self.mask)]
-
     def complement(self) -> "GroupSet":
         return GroupSet(self.group, self.group.full_mask ^ self.mask)
 
@@ -240,11 +230,13 @@ class GroupSet:
         run looks it up in a table of the run's literals.  So no table
         outgrows the output or the constant, and there is no per-element
         Python code.  Each run has a fixed cost, so a set with fewer members
-        than G has digits is formatted one element at a time instead.
+        than G has digits is formatted one element at a time instead, from
+        `_iter_bits`: `members()` scans as many digits as the top member's
+        index, however few members there are.
         """
+        if self.card < len(self.group.factors):
+            return ";".join(map(self.group.element_literal, _iter_bits(self.mask)))
         rest = self.members()
-        if len(rest) < len(self.group.factors):
-            return ";".join(map(self.group.element_literal, rest))
         limit = min(len(rest), _RUN_TABLE_MAX)
         runs = []
         for n in self.group.factors:
@@ -271,11 +263,7 @@ class GroupSet:
         return ";".join(map(",".join, zip(*columns)))
 
     def __contains__(self, x):
-        if isinstance(x, Element):
-            if x.group != self.group:
-                raise GroupMismatchError("element from a different group")
-            x = x.index
-        x = int(x)
+        x = _index_of(self.group, x)
         return x >= 0 and bool(self.mask >> x & 1)
 
     def __len__(self):
@@ -299,16 +287,29 @@ def _iter_bits(mask: int):
     """Set bit positions, lowest first, lazily.
 
     The scan of `sumset`'s early-exit rotation loop, the greedy argmax loops
-    in `construct`, `fold_to_quotient`, `GroupSet.elements` and the lazy
-    Kneser literal in `verify`.  `subset_sums` peels its bits inline
-    instead, since it runs once per verified instance.  Kept apart from
-    `GroupSet.members`: a lazy `find`-scan generator measured 20-70% slower
-    on masks of at most 73 bits, and the loops may stop early.
+    in `construct`, `fold_to_quotient`, the small-set branch of
+    `GroupSet.literal` and the lazy Kneser literal in `verify`.
+    `subset_sums` peels its bits inline instead, since it runs once per
+    verified instance.  Kept apart from `GroupSet.members`: a lazy
+    `find`-scan generator measured 20-70% slower on masks of at most 73
+    bits, and the loops may stop early.
     """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _index_of(group: Group, x) -> int:
+    """The index of an `Element` of `group`, or of an exact integer.
+
+    A float or a string raises `TypeError` (`operator.index`), not rounded.
+    """
+    if isinstance(x, Element):
+        if x.group != group:
+            raise GroupMismatchError("element from a different group")
+        return x.index
+    return operator.index(x)
 
 
 @dataclass(frozen=True)

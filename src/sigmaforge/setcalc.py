@@ -10,6 +10,7 @@ in `groups` with `GroupSet` and the per-digit block starts it reads.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .groups import (
     GroupMismatchError,
     GroupSet,
     Subgroup,
+    _index_of,
     _iter_bits,
     _join,
     _shift_mask,
@@ -36,11 +38,7 @@ class SequenceMS:
         self.mult = Counter()
         if mult:
             for x, m in dict(mult).items():
-                if isinstance(x, Element):
-                    if x.group != group:
-                        raise GroupMismatchError("element from a different group")
-                    x = x.index
-                i, m = int(x), int(m)
+                i, m = _index_of(group, x), operator.index(m)
                 if m < 1:
                     raise ValueError("multiplicities must be positive")
                 if not 0 <= i < group.order:
@@ -66,6 +64,16 @@ class SequenceMS:
         return ";".join(
             f"{g.element_literal(i)}:{m}" for i, m in sorted(self.mult.items())
         )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SequenceMS)
+            and self.group == other.group
+            and self.mult == other.mult
+        )
+
+    def __hash__(self):
+        return hash((self.group, frozenset(self.mult.items())))
 
     def __repr__(self):
         return f"SequenceMS({self.group.spec()}, {{{self.literal()}}})"

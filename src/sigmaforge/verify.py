@@ -23,7 +23,6 @@ bitmap summed from the instance's index tuple in one C-level pass.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -39,6 +38,7 @@ from .setcalc import (
     subset_walk,
 )
 from .bounds import (
+    _canonical_json,
     _subset_terms,
     corollary_sides,
     kneser_bound,
@@ -63,7 +63,7 @@ class VerificationRun:
     stats: dict = field(default_factory=dict)
     seed: int | None = None
     trials: int | None = None
-    millis: float | None = None
+    millis: float | None = field(default=None, compare=False)
 
     @property
     def verdict(self) -> str:
@@ -92,9 +92,7 @@ class VerificationRun:
     def to_json(self, with_timing: bool = False) -> str:
         # timing is excluded by default so identical runs serialize
         # byte-identically
-        return json.dumps(
-            self.to_dict(with_timing), sort_keys=True, separators=(",", ":")
-        )
+        return _canonical_json(self.to_dict(with_timing))
 
 
 @dataclass
@@ -130,7 +128,7 @@ class ExtremalRecord:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_dict())
 
 
 def _verify(instances, evaluate, literal, key=None, extra_stats=None, **run_fields):
@@ -326,6 +324,8 @@ class _KneserKey:
 
 def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun:
     """Seeded random m-tuples (m <= m_max) of nonempty sets, one group each."""
+    if seed is None:
+        raise ValueError("random_kneser requires a seed")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if m_max < 1:
@@ -364,6 +364,8 @@ def random_sequence_theorem(
     group: Group, n_max: int, trials: int, seed: int
 ) -> VerificationRun:
     """Seeded random sequences of length <= n_max, elements uniform."""
+    if seed is None:
+        raise ValueError("random_sequence_theorem requires a seed")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n_max < 0:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sigmaforge.cli import build_parser, main, parse_sequence, parse_set
-from sigmaforge import parse_element, parse_group
+from sigmaforge import BoundReport, parse_element, parse_group, verify
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -301,12 +301,16 @@ def test_element_with_wrong_coordinate_count_exit_2(capsys):
 def test_missing_group_exit_2(capsys):
     commands = [("bound", "--which", w, "--set", "1", "--seq", "1")
                 for w in ("main", "corollary", "kneser", "sequence")]
-    commands += [("verify", t, "--seed", "1")
-                 for t in ("main", "corollary", "kneser-pairs", "kneser", "sequence")]
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "needs --group" in err, argv
+    commands = [("verify", t) for t in ("main", "corollary", "kneser-pairs")]
+    commands += [("verify", t, "--seed", "1") for t in ("kneser", "sequence")]
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "the following arguments are required: --group" in err, argv
 
 
 def test_usage_error_exit_2(capsys):
@@ -366,3 +370,140 @@ def test_parser_is_reused_across_queries(capsys):
     assert [json.loads(out)["context"]["m"] for _, out in results[2:]] == [2, 1]
     for argv, result in zip(queries, results):
         assert fresh(*argv) == result, argv
+
+
+# -- every option is read or refused ----------------------------------------
+
+# A quick accepted command per theorem, with every option it requires.
+VERIFY_BASE = {
+    "main": ("--group", "Z4"),
+    "corollary": ("--group", "Z4"),
+    "kneser-pairs": ("--group", "Z2"),
+    "kneser": ("--group", "Z4", "--seed", "1", "--trials", "2"),
+    "sequence": ("--group", "Z4", "--seed", "1", "--trials", "2"),
+    "olson": ("--p", "5"),
+    "vu": ("--n", "10"),
+    "interval": ("--n", "2"),
+}
+VERIFY_REQUIRED = {
+    "main": ("--group",),
+    "corollary": ("--group",),
+    "kneser-pairs": ("--group",),
+    "kneser": ("--group", "--seed"),
+    "sequence": ("--group", "--seed"),
+    "olson": ("--p",),
+    "vu": ("--n",),
+    "interval": ("--n",),
+}
+VERIFY_READS = {
+    **VERIFY_REQUIRED,
+    "kneser": ("--group", "--seed", "--m-max", "--trials"),
+    "sequence": ("--group", "--seed", "--n-max", "--trials"),
+    "vu": ("--n", "--sample", "--seed"),
+}
+# every option but --json (which all theorems read), with a valid value:
+# 48 of the 8 x 9 (theorem, option) pairs are unread.  `sequence` with --n
+# checks that no option is abbreviated (--n-max).
+VERIFY_OPTIONS = {
+    "--group": "Z4", "--p": "5", "--n": "3", "--n-max": "3",
+    "--m-max": "2", "--trials": "2", "--sample": "2", "--seed": "3",
+}
+BOUND_BASE = {
+    "main": ("--group", "Z5", "--set", "1"),
+    "corollary": ("--group", "Z5", "--set", "1"),
+    "kneser": ("--group", "Z6", "--set", "1;2", "--set", "0;3"),
+    "sequence": ("--group", "Z12", "--seq", "5"),
+    "recursive": ("--u", "8"),
+}
+
+UNREAD = [
+    (("verify", t, *VERIFY_BASE[t]), (option, value), "unrecognized arguments")
+    for t in VERIFY_BASE
+    for option, value in VERIFY_OPTIONS.items()
+    if option not in VERIFY_READS[t]
+]
+UNREAD += [
+    (("bound", "--which", w, *BOUND_BASE[w]), ("--u", "3"), "does not read --u")
+    for w in ("main", "corollary", "kneser", "sequence")
+]
+UNREAD += [
+    (("bound", "--which", "recursive", "--u", "8"), ("--group", "Z4"),
+     "does not read --group"),
+    (("bound", "--which", "recursive", "--u", "8"), ("--csv",),
+     "does not read --csv"),
+    (("bound", "--which", "main", *BOUND_BASE["main"], "--csv"), ("--json",),
+     "argument --json: not allowed with argument --csv"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, extra, message", UNREAD,
+    ids=[f"{argv[0]}-{argv[2] if argv[0] == 'bound' else argv[1]}{extra[0]}"
+         for argv, extra, _ in UNREAD],
+)
+def test_unread_option_exit_2(capsys, argv, extra, message):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("theorem, option", [
+    (t, option) for t, options in VERIFY_REQUIRED.items() for option in options
+])
+def test_verify_missing_required_option_exit_2(capsys, theorem, option):
+    base = VERIFY_BASE[theorem]
+    i = base.index(option)
+    code, out, err = run(capsys, "verify", theorem, *base[:i], *base[i + 2:])
+    assert code == 2 and out == ""
+    assert err.rstrip().endswith(f"the following arguments are required: {option}")
+
+
+# -- human-readable output ----------------------------------------------------
+
+def test_verify_human_output(capsys):
+    code, out, err = run(capsys, "verify", "main", "--group", "Z4")
+    assert code == 0
+    assert out == (
+        "main on Z4 [exhaustive]: verified\n"
+        "stats: {'instances': 16, 'min_slack': 0, 'witness': ''}\n"
+    )
+    assert err.startswith("elapsed: ") and err.endswith(" ms\n")
+    code, out, _ = run(capsys, "verify", "olson", "--p", "7")
+    assert code == 0
+    assert out == (
+        "olson on Z7 [exhaustive]: verified\n"
+        "stats: {'instances': 22, 'threshold': 4, 'min_slack': 0, "
+        "'witness': '1;2;3;4'}\n"
+    )
+
+
+def test_verify_human_output_lists_ten_counterexamples(capsys, monkeypatch):
+    failing = BoundReport("kneser", 0, 1, False, {"m": 2})
+    monkeypatch.setattr(verify, "kneser_bound", lambda sets: failing)
+    code, out, _ = run(capsys, "verify", "kneser-pairs", "--group", "Z3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "kneser-pairs on Z3 [exhaustive]: counterexample"
+    assert lines[1].startswith("stats: {'instances': 49, ")
+    report = failing.to_dict()
+    assert lines[2:] == [
+        f"counterexample: {{'sets': '0|{b}', 'report': {report}}}"
+        for b in ("0", "1", "0;1", "2", "0;2", "1;2", "0;1;2")
+    ] + [
+        f"counterexample: {{'sets': '1|{b}', 'report': {report}}}"
+        for b in ("0", "1", "0;1")
+    ]
+
+
+def test_search_human_output(capsys):
+    code, out, _ = run(capsys, "search", "--group", "Z16", "--k", "3", "--exhaustive")
+    assert code == 0
+    assert out == (
+        "min |Sigma(A)| = 5 at A = {1;2;15}\n"
+        "4*(|Sigma|-|H|) = 16 vs |A\\H|^2 = 9\n"
+    )
+    # the one 1-subset of Z2 \ {0} has Sigma = Z2, so stab(Sigma) = Z2
+    code, out, _ = run(capsys, "search", "--group", "Z2", "--k", "1", "--exhaustive")
+    assert code == 0
+    assert out == "no k-subset with trivial stabilizer exists\n"

@@ -17,6 +17,7 @@ from sigmaforge import (
     hard_bound_diagnostic,
     make_group,
     parse_group,
+    quotient,
     stabilizer,
     subset_sums,
     witness_easy,
@@ -152,6 +153,26 @@ def test_classify_example():
     assert classes[1].label == "dense"
     assert classes[1].ambiguous
     assert classes[1].intersection == 1
+
+
+def test_classify_each_label():
+    g = make_group([16])
+    H = generated_subgroup(g, gset(g, [4]))  # {0, 4, 8, 12}
+    S = gset(g, [0, 1, 5, 2, 6, 10])
+    classes = {cc.coset: cc for cc in classify_cosets(S, H, 7)}
+    q = quotient(g, H)
+    # at u = 7 a coset Q is sparse when 4|Q & S| < 8, dense when 4|Q \ S| < 8
+    expected = {  # representative: (label, |Q & S|, min(|Q & S|, |Q \ S|))
+        0: ("sparse", 1, 1),  # {0} of {0, 4, 8, 12}
+        1: ("balanced", 2, 2),  # {1, 5} of {1, 5, 9, 13}
+        2: ("dense", 3, 1),  # {2, 6, 10} of {2, 6, 10, 14}
+        3: ("empty", 0, 0),
+    }
+    assert len(classes) == 4
+    for r, (label, inter, df) in expected.items():
+        cc = classes[q.project(r)]
+        assert (cc.label, cc.intersection, cc.deficiency) == (label, inter, df), r
+        assert not cc.ambiguous
 
 
 def test_classify_overlap_flagged_for_small_cosets():

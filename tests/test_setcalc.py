@@ -77,6 +77,39 @@ def test_sumset_empty_and_mismatch():
         sumset(gset(g, [1]), gset(make_group([7]), [1]))
 
 
+def test_element_operands_are_exact_integers():
+    z6 = make_group([6])
+    for bad in (2.7, 2.0, "3"):
+        with pytest.raises(TypeError):
+            GroupSet.from_indices(z6, [1, bad])
+        with pytest.raises(TypeError):
+            bad in GroupSet.full(z6)
+        with pytest.raises(TypeError):
+            SequenceMS(z6, {bad: 1})
+        with pytest.raises(TypeError):
+            SequenceMS(z6, {1: bad})  # a multiplicity
+    for i in (6, -1):
+        with pytest.raises(ValueError, match=f"element index {i} out of range"):
+            GroupSet.from_indices(z6, [1, i])
+        with pytest.raises(ValueError, match=f"element index {i} out of range"):
+            SequenceMS(z6, {i: 1})
+        assert i not in GroupSet.full(z6)
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
+        SequenceMS(z6, {1: 0})
+
+
+def test_sequences_compare_by_group_and_multiplicities():
+    g = make_group([6])
+    a = SequenceMS(g, {1: 2})
+    assert a == SequenceMS(g, {1: 2}) == SequenceMS.from_terms(g, [1, 1])
+    assert hash(a) == hash(SequenceMS.from_terms(g, [1, 1]))
+    assert a != SequenceMS(g, {1: 3})
+    assert a != SequenceMS(g, {2: 2})
+    assert a != SequenceMS(make_group([7]), {1: 2})
+    assert a != GroupSet.from_indices(g, [1])
+    assert len({a, SequenceMS(g, {1: 2}), SequenceMS(g), SequenceMS(g, {})}) == 2
+
+
 def test_elements_of_another_group_are_rejected():
     z6, z8 = make_group([6]), make_group([8])
     for bad in (Element(z8, 5), Element(z8, 7)):

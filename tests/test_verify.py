@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmaforge import (
+    BoundReport,
     CapacityError,
     GroupSet,
     bounds,
@@ -134,6 +135,85 @@ def test_random_sequence_theorem():
     assert run.verdict == "verified"
     with pytest.raises(ValueError):
         random_sequence_theorem(g, 10, 0, 1)
+
+
+def test_random_kneser_requires_a_seed():
+    with pytest.raises(ValueError, match="seed"):
+        random_kneser([make_group([64])], 1, 1, None)
+
+
+def test_random_sequence_theorem_requires_a_seed():
+    with pytest.raises(ValueError, match="seed"):
+        random_sequence_theorem(make_group([64]), 1, 1, None)
+
+
+def test_runs_that_differ_only_in_timing_are_equal():
+    a, b = vu_check(10), vu_check(10)
+    b.millis = a.millis + 1.0
+    assert a == b
+    assert a != vu_check(11)
+    assert random_kneser([make_group([6])], 2, 5, 1) != random_kneser(
+        [make_group([6])], 2, 5, 2)
+
+
+def fail_every_other(monkeypatch, name):
+    """Make `verify.<name>` fail on its 1st, 3rd, ... call; returns the calls."""
+    calls = []
+
+    def fake(operand):
+        calls.append(operand)
+        holds = len(calls) % 2 == 0
+        return BoundReport("fake", int(holds), 1, holds, {"call": len(calls)})
+
+    monkeypatch.setattr(verify, name, fake)
+    return calls
+
+
+def failing_reports(calls):
+    return [
+        BoundReport("fake", 0, 1, False, {"call": i}).to_dict()
+        for i in range(1, len(calls) + 1, 2)
+    ]
+
+
+def test_kneser_pairs_counterexample_payloads(monkeypatch):
+    calls = fail_every_other(monkeypatch, "kneser_bound")
+    run = exhaustive_theorem(make_group([2]), "kneser-pairs")
+    assert len(calls) == 9  # pairs of the nonempty sets {0}, {1}, {0, 1}
+    assert [sorted(ce) for ce in run.counterexamples] == [["report", "sets"]] * 5
+    assert [ce["sets"] for ce in run.counterexamples] == [
+        "0|0", "0|0;1", "1|1", "0;1|0", "0;1|0;1",
+    ]
+    assert [ce["report"] for ce in run.counterexamples] == failing_reports(calls)
+    assert run.verdict == "counterexample"
+
+
+def test_random_kneser_counterexample_payloads(monkeypatch):
+    calls = fail_every_other(monkeypatch, "kneser_bound")
+    groups = [make_group([5]), parse_group("Z2xZ2")]
+    run = random_kneser(groups, m_max=3, trials=9, seed=4)
+    assert len(calls) == 9
+    failing = calls[::2]
+    assert [sorted(ce) for ce in run.counterexamples] == [
+        ["group", "report", "sets"]
+    ] * len(failing)
+    assert [(ce["group"], ce["sets"]) for ce in run.counterexamples] == [
+        (sets[0].group.spec(),
+         sets[0].group.spec() + ":" + "|".join(s.literal() for s in sets))
+        for sets in failing
+    ]
+    assert [ce["report"] for ce in run.counterexamples] == failing_reports(calls)
+
+
+def test_random_sequence_theorem_counterexample_payloads(monkeypatch):
+    calls = fail_every_other(monkeypatch, "sequence_bound_check")
+    run = random_sequence_theorem(parse_group("Z2xZ4"), 4, 9, seed=3)
+    assert len(calls) == 9
+    assert [sorted(ce) for ce in run.counterexamples] == [["report", "sequence"]] * 5
+    assert [ce["sequence"] for ce in run.counterexamples] == [
+        a.literal() for a in calls[::2]
+    ]
+    assert [ce["report"] for ce in run.counterexamples] == failing_reports(calls)
 
 
 def test_random_verifiers_reject_empty_size_ranges():
