@@ -20,6 +20,7 @@ from .groups import (
     GroupMismatchError,
     GroupSet,
     Subgroup,
+    _as_subgroup,
     _index_of,
     _iter_bits,
     _join,
@@ -274,12 +275,22 @@ def deficiency(S: GroupSet, Q: GroupSet) -> int:
 
 
 def coset_profile(a: SequenceMS, H: Subgroup) -> CosetProfile:
-    """Counts of nontrivial H-cosets holding >= j terms, for j = 1, 2, ..."""
-    q = quotient(a.group, H)
+    """Counts of nontrivial H-cosets holding >= j terms, for j = 1, 2, ...
+
+    A coset is labelled by its least member, the lowest bit of x + H: two
+    terms share a coset iff their translates of H are equal, and so have
+    the same least member.  A term in H is dropped, so each distinct term
+    outside H costs one rotation and no quotient is built.  H is checked
+    by `groups._as_subgroup`, as in `quotient`.
+    """
+    g = a.group
+    H = _as_subgroup(g, H)
+    h = H.mask
     counts = Counter()
     for x, m in a.mult.items():
-        counts[q.project(x)] += m
-    counts.pop(0, None)  # terms inside H
+        if not h >> x & 1:
+            coset = _shift_mask(g, h, x)
+            counts[(coset & -coset).bit_length() - 1] += m
     rho = (
         sum(v >= j for v in counts.values())
         for j in range(1, max(counts.values(), default=0) + 1)

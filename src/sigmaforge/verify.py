@@ -408,10 +408,13 @@ def _completeness(group, instances, **run_fields) -> VerificationRun:
     """`_verify` over sorted index tuples whose Sigma must be all of `group`.
 
     An instance's bitmap is the sum of its members' bits, in one C-level
-    pass, not `GroupSet.from_indices`' per-index checks: every instance is
-    a tuple of distinct in-range ints (a `combinations` of `range(1, p)` or
-    of the units, or `sorted(rng.sample(units, k))`), and the sum of
-    distinct powers of two equals their OR.  `GroupSet` still rejects a bit
+    pass, not `GroupSet.from_indices`: every instance is a tuple of
+    distinct in-range ints (a `combinations` of `range(1, p)` or of the
+    units, or `sorted(rng.sample(units, k))`), so it needs no check, and
+    the sum of distinct powers of two equals their OR.  The masks are short
+    (at most 73 bits for Olson 19 and Vu 73), so each term is at most three
+    30-bit digits and the sum runs without per-item Python code, where
+    `from_indices` checks every item.  `GroupSet` still rejects a bit
     outside the group.  (A table of the |G| bits would be faster still, but
     holds about |G|^2/16 bytes, too many for a sampled `vu_check` on a
     large group.)

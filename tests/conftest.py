@@ -110,6 +110,29 @@ def naive_quotient(group, members):
     return coset_of, reps
 
 
+def naive_coset_profile(group, members, terms):
+    """rho of `coset_profile` from `naive_quotient`'s coset numbers.
+
+    rho[j-1] counts the cosets other than H itself that hold at least j of
+    the terms, each term counted once per occurrence.
+    """
+    coset_of, _ = naive_quotient(group, members)
+    counts = {}
+    for x in terms:
+        if coset_of[x] != coset_of[0]:
+            counts[coset_of[x]] = counts.get(coset_of[x], 0) + 1
+    top = max(counts.values(), default=0)
+    return tuple(sum(v >= j for v in counts.values()) for j in range(1, top + 1))
+
+
+def naive_mask(group, items):
+    """Bitmap of ints and `Element`s, one OR per item and no checks."""
+    mask = 0
+    for x in items:
+        mask |= 1 << (x.index if isinstance(x, groups.Element) else x)
+    return mask
+
+
 def exhaustive_loop(group, theorem):
     """`exhaustive_theorem(group, "main" | "corollary")`, one subset at a time.
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmaforge import (
+    Element,
     GroupMismatchError,
     GroupSet,
     InvalidGroupError,
@@ -19,7 +20,7 @@ from sigmaforge import (
     zero,
 )
 from sigmaforge.groups import _iter_bits
-from conftest import naive_closure, naive_literal, naive_quotient
+from conftest import naive_closure, naive_literal, naive_mask, naive_quotient
 
 
 def test_make_group_orders():
@@ -110,6 +111,62 @@ def test_literal_of_sets_smaller_than_the_digit_count(factors, size):
                     rng.sample(range(g.order), size)):
         mask = sum(1 << m for m in members)
         assert GroupSet(g, mask).literal() == naive_literal(g, mask)
+
+
+# order 1 to 96: lists of up to 150 items are sparse or dense, and repeat
+FROM_INDICES_GROUPS = [(1,), (6,), (64,), (2,) * 6, (4, 8), (2, 3, 16)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FROM_INDICES_GROUPS), st.data())
+def test_from_indices_matches_or_loop(factors, data):
+    g = make_group(factors)
+    idx = data.draw(st.lists(st.integers(0, g.order - 1), max_size=150))
+    wrap = data.draw(st.lists(st.booleans(), min_size=len(idx), max_size=len(idx)))
+    mixed = [Element(g, i) if w else i for i, w in zip(idx, wrap)]
+    want = naive_mask(g, idx)
+    for items in (idx, mixed, iter(mixed), (x for x in idx), map(int, idx)):
+        assert GroupSet.from_indices(g, items).mask == want
+
+
+@pytest.mark.parametrize("order", [64, 512, 4096])
+def test_from_indices_at_every_density(order):
+    g = make_group([order])
+    rng = random.Random(order)
+    for n in (0, 1, 2, 31, 32, 33, order // 16 - 1, order // 16, order // 2, order):
+        idx = rng.sample(range(order), n)
+        idx += rng.choices(idx, k=n // 3)  # repeats
+        assert GroupSet.from_indices(g, idx).mask == naive_mask(g, idx)
+        assert GroupSet.from_indices(g, iter(idx)).mask == naive_mask(g, idx)
+
+
+def test_from_indices_raises_for_the_first_bad_item():
+    z6, z8 = make_group([6]), make_group([8])
+    with pytest.raises(TypeError):
+        GroupSet.from_indices(z6, [1, 2.7, 9])
+    with pytest.raises(ValueError, match="element index 9 out of range"):
+        GroupSet.from_indices(z6, [1, 9, 2.7])
+    with pytest.raises(GroupMismatchError):
+        GroupSet.from_indices(z6, [1, Element(z8, 3)])
+    with pytest.raises(InvalidSubgroupError):
+        Subgroup.from_indices(z6, [0, 2, 3])
+    assert Subgroup.from_indices(z6, iter([0, 2, 4, 2])).members() == [0, 2, 4]
+    # the same checks on a list long enough to be built from flags
+    z64 = make_group([64])
+    good = list(range(40))
+    for bad, error, match in (
+        ([2.7, 99], TypeError, None),
+        ([99, 2.7], ValueError, "element index 99 out of range"),
+        ([-1], ValueError, "element index -1 out of range"),
+        (["3"], TypeError, None),
+        ([Element(z8, 3)], GroupMismatchError, None),
+    ):
+        with pytest.raises(error, match=match):
+            GroupSet.from_indices(z64, good + bad)
+        with pytest.raises(error, match=match):
+            GroupSet.from_indices(z64, iter(good + bad))
+    dense = good + [Element(z64, 63), True]
+    assert GroupSet.from_indices(z64, dense).mask == (1 << 40) - 1 | 1 << 63
 
 
 def test_generated_subgroup_examples():

@@ -13,6 +13,7 @@ from sigmaforge import (
     Element,
     GroupMismatchError,
     GroupSet,
+    InvalidSubgroupError,
     SequenceMS,
     Subgroup,
     coset_profile,
@@ -23,17 +24,20 @@ from sigmaforge import (
     generated_subgroup,
     make_group,
     parse_group,
+    random_sequence_theorem,
+    sequence_bound_check,
     shift,
     stabilizer,
     subsequence_sums,
     subset_sums,
     sumset,
 )
-from sigmaforge import setcalc
+from sigmaforge import groups, setcalc
 from sigmaforge.groups import _shift_mask
 from sigmaforge.setcalc import subset_walk
 from conftest import (
     count_work,
+    naive_coset_profile,
     naive_stab,
     naive_subseq_sigma,
     naive_sigma,
@@ -550,6 +554,55 @@ def test_coset_profile_non_increasing():
         assert all(rho[i] >= rho[i + 1] for i in range(len(rho) - 1))
         if rho:
             assert rho[0] <= g.order // len(h) - 1
+
+
+COSET_GROUPS = [(12,), (2, 6), (2, 2, 3), (4, 4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(COSET_GROUPS), st.data())
+def test_coset_profile_matches_quotient_oracle(factors, data):
+    g = make_group(factors)
+    kind = data.draw(st.sampled_from(["generated", "trivial", "whole"]))
+    if kind == "generated":
+        gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+        H = generated_subgroup(g, gset(g, gens))
+    else:
+        H = Subgroup.trivial(g) if kind == "trivial" else Subgroup(g, g.full_mask)
+    # order <= 16 and up to 24 terms: most draws repeat a term
+    terms = data.draw(st.lists(st.integers(0, g.order - 1), max_size=24))
+    a = SequenceMS.from_terms(g, terms)
+    want = naive_coset_profile(g, H.members(), terms)
+    assert coset_profile(a, H).rho == want
+    # the same subgroup as a plain set is checked, then counted alike
+    assert coset_profile(a, GroupSet(g, H.mask)).rho == want
+
+
+def test_coset_profile_checks_its_subgroup():
+    g = make_group([12])
+    a = SequenceMS.from_terms(g, [1, 5, 5])
+    for other in (make_group([2, 6]), make_group([6])):
+        with pytest.raises(GroupMismatchError, match="subgroup of a different group"):
+            coset_profile(a, Subgroup.trivial(other))
+    for members in ([0, 1], [1, 7], []):
+        with pytest.raises(InvalidSubgroupError):
+            coset_profile(a, gset(g, members))
+
+
+def test_sequence_bound_builds_no_quotient(monkeypatch):
+    # coset_profile labels cosets by their least member: a Smith form per
+    # instance would show up here as a call
+    def refuse(*args):
+        raise AssertionError("quotient called on the sequence-bound path")
+
+    monkeypatch.setattr(setcalc, "quotient", refuse)
+    monkeypatch.setattr(groups, "quotient", refuse)
+    g = make_group([2, 4, 8])
+    run = random_sequence_theorem(g, 24, 60, seed=7)
+    assert run.verdict == "verified" and run.stats["instances"] == 60
+    a = SequenceMS.from_terms(g, [1, 1, 2, 9, 33, 40, 40, 63])
+    rep = sequence_bound_check(a)
+    assert rep.holds and rep.context["rho_sq"] > 0
 
 
 def test_fold_to_quotient():
