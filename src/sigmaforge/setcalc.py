@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 from .groups import (
     Element,
@@ -134,7 +135,20 @@ def subset_sums(A: GroupSet) -> GroupSet:
     return GroupSet(g, s)
 
 
-def subset_walk(group: Group, elems, size=None):
+class Settled:
+    """The full-Sigma subtrees that a settling `subset_walk` counted, not yielded.
+
+    `instances` is the number of subsets they hold (of `size`-subsets, with
+    `size`).
+    """
+
+    __slots__ = ("instances",)
+
+    def __init__(self):
+        self.instances = 0
+
+
+def subset_walk(group: Group, elems, size=None, settled=None):
     """Yield `(mask, sigma_mask)` for every subset B of `elems`.
 
     The subsets are visited in preorder of the tree whose root is the empty
@@ -153,6 +167,12 @@ def subset_walk(group: Group, elems, size=None):
     members lie in the first n - size + j positions, so the walk has
     sum_j C(n - size + j, j) = C(n + 1, size) nodes.
 
+    With a `Settled` record, a node whose Sigma is G is not yielded, and
+    neither is its subtree: every extension has Sigma = G too.  The walk
+    adds the subtree's 2^r subsets, r the number of elements above max(B)
+    (with `size`, its C(r, size - |B|) `size`-subsets), to
+    `settled.instances`.
+
     Right after a node is yielded, the consumer may call `walk.send(True)`
     to skip that node's subtree: the walk answers the `send` with a bare
     `yield` (so `send` returns None), and the consumer's loop goes on with
@@ -161,11 +181,15 @@ def subset_walk(group: Group, elems, size=None):
     """
     elems = sorted(elems)
     n = len(elems)
-    if size is None:
+    sized = size is not None
+    if not sized:
         size, room = n, n
     else:
         room = n - size  # depth d extends by positions <= room + d only
     full = group.full_mask
+    if settled is not None and full == 1:  # |G| = 1: the root's Sigma is G
+        settled.instances += comb(n, size) if sized else 1 << n
+        return
     path = [(-1, 0, 1)]  # (position in `elems` of max(B), B, Sigma(B))
     if (yield 0, 1):
         yield
@@ -176,9 +200,14 @@ def subset_walk(group: Group, elems, size=None):
         if nxt < n and depth < size and nxt <= room + depth:
             _, m, s = path[-1]
             a = elems[nxt]
+            m |= 1 << a
             if s != full:  # Sigma(B) = G stays G
                 s |= _shift_mask(group, s, a)
-            m |= 1 << a
+                if settled is not None and s == full:
+                    r = n - nxt - 1
+                    settled.instances += comb(r, size - depth - 1) if sized else 1 << r
+                    nxt += 1
+                    continue
             if (yield m, s):
                 yield  # skipped: the next sibling follows
             else:

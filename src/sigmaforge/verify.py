@@ -7,14 +7,18 @@ single thread, so no instance list is ever held in memory.  Exhaustive
 `main`/`corollary` and exhaustive `extremal_search` walk the subsets with
 `setcalc.subset_walk`: one rotation per subset walked, since each Sigma
 extends its parent's, and both skip the subtrees whose answer is already
-known.  In `main`/`corollary` a subset whose Sigma is all of G settles its
-extensions, which are counted without being walked, and `stabilizer` runs
+known.  The walk settles a subset whose Sigma is all of G: it counts the
+subset and its extensions, all with Sigma = G, without yielding them.
+`main`/`corollary` walk only the subsets B of G \\ {0}: B ∪ {0} has the
+same Sigma, stabilizer and |A \\ H|, so each node stands for two sets.  A
+full Sigma has slack 0 under both theorems, which ties [], the first set,
+so a settled subset neither fails nor is the witness; `stabilizer` runs
 once per distinct Sigma.  The search walks only the prefixes of its
-k-subsets, skips a prefix whose Sigma is full or no smaller than the best
-so far, and runs `stabilizer` only on a k-subset that would beat the best
-so far; its hill-climb mode reaches each neighbour's Sigma with one
-rotation.  The walk visits the subsets in
-lex order of their member lists, so the first least-slack subset is the
+k-subsets, lets the walk settle a prefix whose Sigma is full, skips one
+no smaller than the best so far, and runs `stabilizer` only on a k-subset
+that would beat the best so far; its hill-climb mode reaches each
+neighbour's Sigma with one rotation.  The walk visits the subsets in lex
+order of their member lists, so the first least-slack subset is the
 lex-least witness.  The other verifiers evaluate each instance
 through `_verify`; both paths assemble the run in `_run`.  The completeness
 checks `olson_check`/`vu_check` run one `subset_sums` per instance, on a
@@ -33,6 +37,7 @@ from .groups import CapacityError, Group, _iter_bits, _shift_mask
 from .setcalc import (
     GroupSet,
     SequenceMS,
+    Settled,
     stabilizer,
     subset_sums,
     subset_walk,
@@ -47,7 +52,7 @@ from .bounds import (
     subset_report,
 )
 
-EXHAUSTIVE_SUBSET_CAP = 24
+EXHAUSTIVE_SUBSET_CAP = 30
 KNESER_PAIRS_CAP = 8
 OLSON_CAP = 23
 VU_ENUM_CAP = 200_000
@@ -217,25 +222,40 @@ def exhaustive_theorem(group: Group, theorem: str) -> VerificationRun:
 def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
     """`main` or `corollary` on every subset of `group`, in one `subset_walk`.
 
-    stab(Sigma(A)) is a function of Sigma(A) alone, so it is computed once
-    per distinct Sigma mask.  A node B with Sigma(B) = G settles its
-    subtree: every extension has Sigma = G, so H = G and |A \\ H| = 0, the
-    same terms as B.  Its 2^r - 1 extensions, r = |G| - max(B) - 1, are
-    counted (and listed if B fails) without being walked.  They come after
-    B in walk order and tie its slack, and only a strictly smaller slack
-    replaces the witness, so the witness is the one the full walk finds.
-    Reports and literals are built only for the failing subsets, listed in
-    mask order, and for the witness.
+    Halving: Sigma(B ∪ {0}) = Sigma(B) and 0 lies in every H, so B and
+    B ∪ {0} have the same terms (|Sigma|, |H|, |A \\ H|) and the same slack.
+    The walk visits the subsets B of G \\ {0} only, and each node counts for
+    both sets.  The sets that hold 0 come right after [] in lex order, so
+    the witness is [] if its slack is least, and otherwise {0} ∪ B* for the
+    walk's first least-slack node B*; failing sets are listed in pairs
+    (B, B ∪ {0}), in mask order.
+
+    Settlement: a node B with Sigma(B) = G has the terms (|G|, |G|, 0), and
+    so has every extension, since H = G.  Under both theorems that slack is
+    0, which is not negative and ties [], which precedes B; so no set in
+    B's subtree fails or is the witness, and the walk settles the subtree:
+    it counts it without yielding it.  Under sides where that slack is
+    negative or below that of [], the walk does not settle and yields every
+    subset.  stab(Sigma(A)) is a function of Sigma(A) alone, so it is
+    computed once per distinct Sigma mask.  Reports and literals are built
+    only for the failing subsets and for the witness.
     """
     t0 = time.perf_counter()
     sides = main_sides if theorem == "main" else corollary_sides
-    full = group.full_mask
+    n = group.order
+
+    def slack(*terms):
+        lhs, rhs = sides(*terms)
+        return lhs - rhs
+
+    least = slack(1, 1, 0)  # [] has Sigma = H = {0}
+    full_slack = slack(n, n, 0)
+    settled = Settled() if full_slack >= max(least, 0) else None
     terms = {}  # Sigma mask -> (|Sigma|, H mask, |H|), H = stab(Sigma)
     failing = []
     count = 0
-    best_slack = best = None
-    walk = subset_walk(group, range(group.order))
-    for mask, sigma in walk:
+    best = None  # the first node whose slack is below that of []
+    for mask, sigma in subset_walk(group, range(1, n), settled=settled):
         count += 1
         t = terms.get(sigma)
         if t is None:
@@ -244,29 +264,24 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
         sigma_size, h_mask, h_size = t
         outside = (mask & ~h_mask).bit_count()
         lhs, rhs = sides(sigma_size, h_size, outside)
-        slack = lhs - rhs
-        if slack < 0:
+        s = lhs - rhs
+        if s < 0:
             failing.append((mask, sigma_size, h_size, outside))
-        if best_slack is None or slack < best_slack:
-            best_slack, best = slack, mask
-        if sigma == full:
-            top = mask.bit_length()
-            extensions = range(1, 1 << group.order - top)
-            count += len(extensions)
-            if slack < 0:
-                failing.extend(
-                    (mask | j << top, sigma_size, h_size, outside) for j in extensions
-                )
-            walk.send(True)
+        if s < least:
+            least, best = s, mask
+    if settled is not None:
+        count += settled.instances
     counterexamples = [
         {
-            "set": GroupSet(group, mask).literal(),
+            "set": GroupSet(group, m).literal(),
             "report": subset_report(theorem, *t).to_dict(),
         }
         for mask, *t in sorted(failing)
+        for m in (mask, mask | 1)
     ]
+    witness = 0 if best is None else best | 1
     return _run(
-        t0, count, counterexamples, best_slack, GroupSet(group, best).literal(),
+        t0, 2 * count, counterexamples, least, GroupSet(group, witness).literal(),
         theorem=theorem, group=group.spec(), mode="exhaustive",
     )
 
@@ -577,9 +592,10 @@ def extremal_search(
     Sets are bitmaps ranked by `_precedes`; `stabilizer` runs only on a set
     that would become the best so far.  Exhaustive mode walks the k-subsets
     in `combinations` order, so the first least |Sigma| precedes the later
-    ones and wins ties.  It skips the subtree of a prefix whose Sigma is G,
-    since stab(G) = G makes every extension infeasible, or is no smaller than
-    the best so far, since Sigma only grows along the path.  Hill-climb moves from each seeded random k-set A
+    ones and wins ties.  The walk settles the subtree of a prefix whose
+    Sigma is G, since stab(G) = G makes every extension infeasible, and the
+    search skips that of a prefix whose |Sigma| is no smaller than the best
+    so far, since Sigma only grows along the path.  Hill-climb moves from each seeded random k-set A
     to its least feasible neighbour A - out + inc that precedes A, until
     none does; each neighbour's Sigma is one rotation of Sigma(A \\ {out}),
     since Sigma(B ∪ {x}) = Sigma(B) | (Sigma(B) + x).
@@ -599,11 +615,10 @@ def extremal_search(
             raise CapacityError(
                 f"C({len(nonzero)}, {k}) exceeds enumeration cap {SEARCH_ENUM_CAP}"
             )
-        full = group.full_mask
-        walk = subset_walk(group, nonzero, k)
+        walk = subset_walk(group, nonzero, k, Settled())
         for mask, sigma in walk:
             size = sigma.bit_count()
-            if sigma == full or (best is not None and size >= best[0]):
+            if best is not None and size >= best[0]:
                 walk.send(True)
             elif mask.bit_count() == k and feasible(sigma):
                 best = (size, mask)

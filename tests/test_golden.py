@@ -34,6 +34,22 @@ CASES = {
         lambda: exhaustive_theorem(parse_group("Z2xZ2xZ2"), "main"),
         "c992254c33c6e2b6dc5096d6042d00eb9cabf7162b54ff039fcb3459e36bb52f",
     ),
+    "main-Z16": (
+        lambda: exhaustive_theorem(make_group([16]), "main"),
+        "a2ae751d5a08d5a20ab99d7f879e47d90670aedd454fdd65c4f555686213266a",
+    ),
+    "main-Z4xZ4": (
+        lambda: exhaustive_theorem(parse_group("Z4xZ4"), "main"),
+        "3f9f6fcc796fc5cc9a269288c37b185ea5bb98a751a4b4aa64d21b228fdc339e",
+    ),
+    "main-Z2xZ2xZ2xZ2": (
+        lambda: exhaustive_theorem(parse_group("Z2xZ2xZ2xZ2"), "main"),
+        "c7b2a3c438d1d91c23388a488b69733d342032428e6f01a0f392e18306677d84",
+    ),
+    "main-Z24": (
+        lambda: exhaustive_theorem(make_group([24]), "main"),
+        "a8cc7698577a773fb5e1cc7c65d4643f3de0c94b72ec5262f697c4358a636147",
+    ),
     "corollary-Z8": (
         lambda: exhaustive_theorem(make_group([8]), "corollary"),
         "3a57429548e3f04b4ee454b110cb6dc2844877a68d81732764ecf18614a0762c",
@@ -45,6 +61,18 @@ CASES = {
     "corollary-Z2xZ2xZ2": (
         lambda: exhaustive_theorem(parse_group("Z2xZ2xZ2"), "corollary"),
         "5cae161dee6678e5fa38cd3a3c66a470c1749f0d369eebc01a63d841b5d48f5c",
+    ),
+    "corollary-Z16": (
+        lambda: exhaustive_theorem(make_group([16]), "corollary"),
+        "7a2866d1d59d0936614c30f09f3aab4db334df983cc2ff08872cc107f4a74b74",
+    ),
+    "corollary-Z4xZ4": (
+        lambda: exhaustive_theorem(parse_group("Z4xZ4"), "corollary"),
+        "aaeb18c020210c87a0f3436fe11104e4e6f711633d94ea8704ded69f8af7cf83",
+    ),
+    "corollary-Z2xZ2xZ2xZ2": (
+        lambda: exhaustive_theorem(parse_group("Z2xZ2xZ2xZ2"), "corollary"),
+        "64f76b71524ad5bcfcd0ef20c80007c3559e022329a1bdc63be9ca84b4ae57d0",
     ),
     "kneser-pairs-Z4": (
         lambda: exhaustive_theorem(make_group([4]), "kneser-pairs"),

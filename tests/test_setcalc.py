@@ -34,7 +34,7 @@ from sigmaforge import (
 )
 from sigmaforge import groups, setcalc
 from sigmaforge.groups import _shift_mask
-from sigmaforge.setcalc import subset_walk
+from sigmaforge.setcalc import Settled, subset_walk
 from conftest import (
     count_work,
     naive_coset_profile,
@@ -308,6 +308,78 @@ def test_subset_walk_skips_exactly_the_sent_subtrees(factors, data):
         if mask in skip:
             assert walk.send(True) is None
     assert seen == [(m, s) for m, s in nodes if not any(_below(m, b) for b in skip)]
+
+
+def _walk_oracle(g, elems, size):
+    """The subsets `subset_walk(g, elems, size)` visits and the instances among them.
+
+    Both come as sorted tuples, so in lex order; the instances are every
+    subset, or with `size` the `size`-subsets.
+    """
+    elems = sorted(elems)
+    if size is None:
+        nodes = [c for r in range(len(elems) + 1) for c in combinations(elems, r)]
+        return sorted(nodes), nodes
+    leaves = list(combinations(elems, size))
+    return sorted({c[:j] for c in leaves for j in range(size + 1)}), leaves
+
+
+@given(st.sampled_from(WALK_GROUPS), st.data())
+@settings(max_examples=80)
+def test_settling_walk_matches_oracle(factors, data):
+    g = make_group(factors)
+    elems = data.draw(st.lists(st.integers(0, g.order - 1), unique=True, max_size=8))
+    size = data.draw(st.none() | st.integers(0, len(elems)))
+    nodes, instances = _walk_oracle(g, elems, size)
+
+    def full(c):
+        return len(naive_sigma(g, c)) == g.order
+
+    settled = Settled()
+    walked = list(subset_walk(g, elems, size, settled))
+    # a node is yielded iff its Sigma is not G, in lex order; every node
+    # below a full-Sigma node is full too, so the settled subtrees hold
+    # exactly the full-Sigma nodes
+    assert [m for m, _ in walked] == [_mask(c) for c in nodes if not full(c)]
+    assert all(GroupSet(g, s).members() == naive_sigma(g, GroupSet(g, m).members())
+               for m, s in walked)
+    # yielded instances plus settled ones cover every instance exactly once
+    assert settled.instances == sum(map(full, instances))
+    walked_instances = sum(size is None or m.bit_count() == size for m, _ in walked)
+    assert walked_instances + settled.instances == len(instances)
+
+
+@given(st.sampled_from(WALK_GROUPS), st.data())
+@settings(max_examples=60)
+def test_settling_walk_skips_exactly_the_sent_subtrees(factors, data):
+    g = make_group(factors)
+    elems = data.draw(st.lists(st.integers(0, g.order - 1), unique=True, max_size=8))
+    size = data.draw(st.none() | st.integers(0, len(elems)))
+    nodes = list(subset_walk(g, elems, size, Settled()))
+    skip = data.draw(st.sets(st.sampled_from([m for m, _ in nodes])))
+    settled = Settled()
+    walk = subset_walk(g, elems, size, settled)
+    seen = []
+    for mask, sigma in walk:
+        seen.append((mask, sigma))
+        if mask in skip:
+            assert walk.send(True) is None
+    assert seen == [(m, s) for m, s in nodes if not any(_below(m, b) for b in skip)]
+    # a skipped subtree's full-Sigma nodes are neither walked nor settled
+    _, instances = _walk_oracle(g, elems, size)
+    assert settled.instances == sum(
+        len(naive_sigma(g, c)) == g.order
+        and not any(_below(_mask(c), b) or _mask(c) == b for b in skip)
+        for c in instances
+    )
+
+
+def test_settling_walk_settles_a_full_root():
+    g = make_group([1])
+    for size, instances in ((None, 2), (0, 1), (1, 1)):
+        settled = Settled()
+        assert list(subset_walk(g, [0], size, settled)) == []
+        assert settled.instances == instances
 
 
 def test_subset_walk_skipping_the_root_ends_it():

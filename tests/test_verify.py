@@ -61,7 +61,7 @@ def test_exhaustive_kneser_pairs():
 
 def test_exhaustive_capacity():
     with pytest.raises(CapacityError):
-        exhaustive_theorem(make_group([25]), "main")
+        exhaustive_theorem(make_group([31]), "main")
     with pytest.raises(CapacityError):
         exhaustive_theorem(make_group([9]), "kneser-pairs")
 
@@ -76,7 +76,9 @@ TIGHTENED = {
 }
 
 
-@pytest.mark.parametrize("spec", ["Z1", "Z5", "Z8", "Z12", "Z2xZ4", "Z2xZ6", "Z2xZ2xZ2"])
+@pytest.mark.parametrize(
+    "spec", ["Z1", "Z5", "Z8", "Z9", "Z12", "Z2xZ4", "Z3xZ3", "Z2xZ6", "Z2xZ2xZ2"]
+)
 @pytest.mark.parametrize("theorem", ["main", "corollary"])
 def test_exhaustive_counterexamples_match_loop(theorem, spec, monkeypatch):
     name = f"{theorem}_sides"
@@ -84,8 +86,8 @@ def test_exhaustive_counterexamples_match_loop(theorem, spec, monkeypatch):
         monkeypatch.setattr(module, name, TIGHTENED[name])
     g = parse_group(spec)
     run = exhaustive_theorem(g, theorem)
-    # a full Sigma fails the tightened sides unless |G| = 1, so every
-    # settled subtree of a larger group lists its subsets as failing
+    # a full Sigma fails the tightened sides unless |G| = 1, so the walk
+    # does not settle and every full-Sigma subset of a larger group fails
     assert (len(run.counterexamples) > 0) == (g.order > 1)
     assert len(run.counterexamples) < run.stats["instances"]
     assert run.to_json() == exhaustive_loop(g, theorem).to_json()
@@ -112,14 +114,17 @@ class _CountedWalk:
 def test_exhaustive_walk_settles_full_sigma_subtrees(monkeypatch):
     walks = []
 
-    def counted(*args):
-        walks.append(_CountedWalk(subset_walk(*args)))
-        return walks[-1]
+    def counted(*args, settled=None):
+        walks.append((_CountedWalk(subset_walk(*args, settled=settled)), settled))
+        return walks[-1][0]
 
     monkeypatch.setattr(verify, "subset_walk", counted)
     run = exhaustive_theorem(make_group([16]), "main")
     assert run.stats["instances"] == 1 << 16
-    assert [w.nodes for w in walks] == [12_710]
+    [(walk, settled)] = walks
+    assert walk.nodes == 2_968
+    # the subsets of G \ {0}, each standing for itself and its union with {0}
+    assert 2 * (walk.nodes + settled.instances) == 1 << 16
 
 
 def test_random_kneser_runs_clean():
