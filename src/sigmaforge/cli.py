@@ -12,10 +12,10 @@ ignored.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from collections import Counter
+from itertools import chain
 
 from .groups import CapacityError, Group, parse_group, parse_index
 from .setcalc import (
@@ -81,11 +81,14 @@ def _cmd_sigma(args) -> int:
         A = parse_set(group, args.set)
         sigma = subset_sums(A)
     H = stabilizer(sigma)
+    text = sigma.literal()
     payload = {
         "group": group.spec(),
-        "sigma": sigma.literal(),
+        "sigma": text,
         "sigma_size": sigma.card,
-        "stabilizer": H.literal(),
+        # stab(Sigma) lies in Sigma (0 is in Sigma), so the two are often
+        # one set, always when Sigma = G; its text is then formatted once
+        "stabilizer": text if H.mask == sigma.mask else H.literal(),
         "stabilizer_size": len(H),
     }
     _emit(
@@ -224,27 +227,29 @@ def _cmd_construct(args) -> int:
                 f"exact search takes --u = |A|/2, not {args.u} with |A| = {A.card}"
             )
         B, size = best_half_subset(A)
-        payload = {"mode": "exact", "subset": B.literal(), "sigma_size": size}
-        _emit(args, payload, [f"best subset = {{{B.literal()}}}, |Sigma| = {size}"])
+        subset = B.literal()
+        payload = {"mode": "exact", "subset": subset, "sigma_size": size}
+        _emit(args, payload, [f"best subset = {{{subset}}}, |Sigma| = {size}"])
     else:
         if args.u is None:
             raise ValueError("greedy construction needs --u")
         trace = greedy_grow(A, args.u)
+        subset = trace.final_set.literal()
         payload = {
             "mode": "greedy",
-            "trace": [dataclasses.asdict(s) for s in trace.steps],
-            "subset": trace.final_set.literal(),
-        }
-        _emit(
-            args,
-            payload,
-            [f"greedy subset = {{{trace.final_set.literal()}}}"]
-            + [
-                f"  step: +{group.element_literal(s.element)} "
-                f"(delta {s.delta}) -> |Sigma| = {s.sigma_size}"
+            "trace": [
+                {"element": s.element, "delta": s.delta, "sigma_size": s.sigma_size}
                 for s in trace.steps
             ],
+            "subset": subset,
+        }
+        # lazy: under --json the step lines are never formatted
+        steps = (
+            f"  step: +{group.element_literal(s.element)} "
+            f"(delta {s.delta}) -> |Sigma| = {s.sigma_size}"
+            for s in trace.steps
         )
+        _emit(args, payload, chain([f"greedy subset = {{{subset}}}"], steps))
     return 0
 
 

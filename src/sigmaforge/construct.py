@@ -67,12 +67,21 @@ class GrowthTrace:
 
 
 def _argmax_delta(group, cand: int, s: int):
-    """Lowest c in bitmap `cand` maximizing |(S + c) \\ S| for bitmap `s`, and the max."""
+    """Lowest c in bitmap `cand` maximizing |(S + c) \\ S| for bitmap `s`, and the max.
+
+    The scan stops at the first c that reaches min(|S|, |G \\ S|): no c
+    does better, since (S + c) \\ S lies in both S + c and G \\ S, and a
+    later c of the same gain loses the tie to this lower one.
+    """
+    size = s.bit_count()
+    bound = min(size, group.order - size)
     best_c, best_d = None, -1
     for c in _iter_bits(cand):
         d = (_shift_mask(group, s, c) & ~s).bit_count()
         if d > best_d:
             best_c, best_d = c, d
+            if d == bound:
+                break
     return best_c, best_d
 
 

@@ -263,7 +263,23 @@ class GroupSet:
         `members()` scans as many digits as the top member's index, however
         few members there are, and the `mask & -mask` of `_iter_bits` costs
         a negation more per member.
+
+        The full set is built by string replication instead, with no
+        `members()`, table or per-element Python code: indices are mixed
+        radix with the first digit fastest, so the full set in index order
+        is, for each value d of the highest digit in turn, every literal of
+        the lower digits followed by `,d`.  So the lower digits' text is
+        copied n times, and in the d-th copy each element's end (each `;`
+        and the text's end) becomes `,d`.
         """
+        if self.mask == self.group.full_mask:
+            factors = self.group.factors
+            text = ";".join(map(str, range(factors[0])))
+            for n in factors[1:]:
+                text = ";".join(
+                    text.replace(";", f",{d};") + f",{d}" for d in range(n)
+                )
+            return text
         if self.card < len(self.group.factors):
             rest, parts = self.mask, []
             while rest:

@@ -25,7 +25,8 @@ from sigmaforge import (
     stabilizer,
     subset_sums,
 )
-from sigmaforge import groups, setcalc
+import sigmaforge
+from sigmaforge import bounds, cli, construct, groups, setcalc, verify
 
 
 def naive_literal(group, mask):
@@ -325,8 +326,11 @@ def completeness_loop(theorem, n, t, sample=None, seed=None):
 
 
 def count_work(monkeypatch):
-    """Count `_shift_mask` calls, in `setcalc` and `groups`, and `add_index` calls.
+    """Count `_shift_mask` calls and `add_index` calls.
 
+    `_shift_mask` is replaced under every name that binds it in a
+    `sigmaforge` module: `construct` and `verify` import it by name, so
+    patching `groups` and `setcalc` alone would count their rotations as 0.
     Returns the live counts, {"rotations": r, "additions": a}.
     """
     calls = {"rotations": 0, "additions": 0}
@@ -340,7 +344,9 @@ def count_work(monkeypatch):
         calls["additions"] += 1
         return add_index(group, i, j)
 
-    monkeypatch.setattr(setcalc, "_shift_mask", rotating)
-    monkeypatch.setattr(groups, "_shift_mask", rotating)
+    for module in (sigmaforge, groups, setcalc, bounds, construct, verify, cli):
+        for name, value in list(vars(module).items()):
+            if value is shift_mask:
+                monkeypatch.setattr(module, name, rotating)
     monkeypatch.setattr(groups.Group, "add_index", adding)
     return calls

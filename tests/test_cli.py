@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sigmaforge.cli import build_parser, main, parse_sequence, parse_set
-from sigmaforge import BoundReport, parse_element, parse_group, verify
+from sigmaforge import BoundReport, GroupSet, parse_element, parse_group, verify
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -42,6 +42,32 @@ def test_sigma_empty_set(capsys):
     code, out, _ = run(capsys, "sigma", "--group", "Z6", "--set", "", "--json")
     assert code == 0
     assert json.loads(out)["sigma"] == "0"
+
+
+@pytest.mark.parametrize(
+    "spec, operand, calls",
+    [
+        ("Z64", "1;2;4;8;16;32", 1),  # Sigma = stab(Sigma) = G
+        ("Z12", "4;8", 1),  # Sigma = stab(Sigma) = {0, 4, 8}
+        ("Z12", "1;2", 2),  # Sigma = {0, 1, 2, 3}, stab(Sigma) = {0}
+    ],
+)
+def test_sigma_formats_one_literal_per_distinct_set(
+    capsys, monkeypatch, spec, operand, calls
+):
+    count = [0]
+    literal = GroupSet.literal
+
+    def counting(self):
+        count[0] += 1
+        return literal(self)
+
+    monkeypatch.setattr(GroupSet, "literal", counting)
+    code, out, _ = run(capsys, "sigma", "--group", spec, "--set", operand, "--json")
+    assert code == 0
+    assert count[0] == calls
+    payload = json.loads(out)
+    assert (payload["sigma"] == payload["stabilizer"]) == (calls == 1)
 
 
 def test_sigma_sequence(capsys):

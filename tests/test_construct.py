@@ -270,20 +270,80 @@ def test_greedy_grow_example():
     assert t.final_set.members() == [1, 2]
 
 
+# non-cyclic groups of order at most 40, for the argmax oracles
+PRODUCT_GROUPS = ["Z2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "Z4xZ4", "Z2xZ6",
+                  "Z2xZ2xZ4", "Z3xZ6", "Z2xZ10", "Z2xZ2xZ2xZ2xZ2"]
+
+
 def test_greedy_grow_takes_the_lowest_argmax_each_step():
     rng = random.Random(11)
+    cases = []
     for _ in range(50):
         n = rng.randint(2, 40)
         g = make_group([n])
         A = gset(g, rng.sample(range(n), rng.randint(1, n)))
+        cases.append((g, A, rng.randint(0, A.card)))
+    for _ in range(50):
+        g = parse_group(rng.choice(PRODUCT_GROUPS))
+        A = gset(g, rng.sample(range(g.order), rng.randint(1, g.order)))
+        cases.append((g, A, rng.randint(0, A.card)))
+    for g, A, u in cases:
         chosen, sigma = [], [0]
-        for step in greedy_grow(A, rng.randint(0, A.card)).steps:
+        for step in greedy_grow(A, u).steps:
             rest = [c for c in A.members() if c not in chosen]
             deltas = [naive_delta(g, sigma, c) for c in rest]
             assert (step.element, step.delta) == (rest[deltas.index(max(deltas))], max(deltas))
             chosen.append(step.element)
             sigma = sorted(set(sigma) | {g.add_index(s, step.element) for s in sigma})
             assert step.sigma_size == len(sigma)
+
+
+def naive_argmax(g, S, C):
+    """Lowest c in C of the largest |(S + c) \\ S|, and that gain, one c at a time."""
+    deltas = [naive_delta(g, S, c) for c in C]
+    return C[deltas.index(max(deltas))], max(deltas)
+
+
+@given(st.sampled_from(["Z1", "Z2", "Z12", "Z40"] + PRODUCT_GROUPS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_witnesses_take_the_lowest_argmax(spec, data):
+    # S of every size, so the scan's stop at min(|S|, |G \ S|) is met at
+    # the first candidate, later, or never
+    g = parse_group(spec)
+    S = data.draw(st.lists(st.integers(0, g.order - 1), unique=True))
+    C = data.draw(st.lists(st.integers(0, g.order - 1), unique=True, min_size=1))
+    want = naive_argmax(g, S, sorted(C))
+    w = witness_easy(gset(g, C), gset(g, S))
+    assert (w.element.index, w.delta) == want
+    # the unit vectors make C generate G, as witness_hard requires
+    units = {s for n, s in zip(g.factors, g.strides) if n > 1}
+    C = sorted(set(C) | units)
+    w = witness_hard(gset(g, C), gset(g, S))
+    assert (w.element.index, w.delta) == naive_argmax(g, S, C)
+
+
+@pytest.mark.parametrize("S", [[0], [x for x in range(64) if x != 5]])
+def test_witness_easy_stops_at_the_first_candidate_reaching_the_bound(S, monkeypatch):
+    # min(|S|, |G \ S|) = 1, from either side, and every c != 0 gains 1
+    g = make_group([64])
+    calls = count_work(monkeypatch)
+    w = witness_easy(gset(g, range(1, 64)), gset(g, S))
+    assert (w.element.index, w.delta) == (1, 1)
+    assert calls["rotations"] == 1, calls
+
+
+def test_greedy_grow_stops_each_scan_at_its_bound(monkeypatch):
+    # A = {1, 2, 4, ..., 2^(u-1)} in Z_{2^u}: before step k, Sigma is
+    # {0, ..., 2^k - 1}, and its lowest candidate 2^k gains 2^k = |Sigma|,
+    # the bound; so each step costs one rotation to scan and one to grow
+    u = 12
+    g = make_group([1 << u])
+    A = gset(g, [1 << i for i in range(u)])
+    calls = count_work(monkeypatch)
+    trace = greedy_grow(A, u)
+    assert [s.element for s in trace.steps] == [1 << i for i in range(u)]
+    assert trace.steps[-1].sigma_size == g.order
+    assert calls["rotations"] <= 2 * u, calls
 
 
 def test_greedy_grow_precondition():

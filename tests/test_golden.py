@@ -7,6 +7,7 @@ them unchanged.  To re-derive a digest, hash `run.to_json().encode()`.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from sigmaforge import (
     verify,
     vu_check,
 )
+from sigmaforge.cli import main
 
 CASES = {
     "main-Z8": (
@@ -166,3 +168,93 @@ def test_golden_digest_with_counterexamples(name, monkeypatch):
     run = make()
     assert run.verdict == "counterexample"
     assert _digest(run) == digest
+
+
+# -- CLI stdout ------------------------------------------------------------
+#
+# SHA-256 digests of `cli.main` stdout, byte for byte, for the outputs the
+# interactive commands print most: a `sigma` answer whose Sigma is the
+# whole group (its stabilizer is G too), a Sigma that is a proper subgroup,
+# a stabilizer other than Sigma, and greedy and exact `construct` runs.
+# The operand sets are seeded draws, so each case is its own argv.
+
+
+def _drawn_set(spec: str, k: int, seed: int) -> str:
+    """`--set` literal of k distinct elements of `spec`, drawn with `seed`."""
+    g = parse_group(spec)
+    picks = random.Random(seed).sample(range(g.order), k)
+    return ";".join(g.element_literal(i) for i in picks)
+
+
+Z2_12 = "x".join(["Z2"] * 12)
+
+CLI_CASES = {
+    "sigma-full-Z4096": (
+        ["sigma", "--group", "Z4096", "--set", _drawn_set("Z4096", 40, 1), "--json"],
+        "ba098007dd00025041bfb66dc72185e7f2199d08d5d3384ef35859a61d0deb74",
+    ),
+    "sigma-full-Z2^12": (
+        ["sigma", "--group", Z2_12, "--set", _drawn_set(Z2_12, 40, 2), "--json"],
+        "ac0facb797c59a6fa984f0f2b7eb234d79fdc7064276b67a65722cf881d64fac",
+    ),
+    "sigma-full-Z64xZ64": (
+        ["sigma", "--group", "Z64xZ64", "--set", _drawn_set("Z64xZ64", 40, 3),
+         "--json"],
+        "c7a3a39763171f3acef2ce923fa3efdb77abf278d65954f99799c831bafecdb7",
+    ),
+    "sigma-full-Z4xZ8xZ64": (
+        ["sigma", "--group", "Z4xZ8xZ64", "--set", _drawn_set("Z4xZ8xZ64", 40, 4),
+         "--json"],
+        "f70d0060eb7c85eeb9b07fd3c02e2eeb6fbba8c3bd74c7ed70d370a077d27986",
+    ),
+    "sigma-full-Z7xZ1xZ3": (
+        ["sigma", "--group", "Z7xZ1xZ3", "--set", _drawn_set("Z7xZ1xZ3", 6, 6),
+         "--json"],
+        "7f560aceacaa620a8b9690588bbd8d98a193ebfc1354ebc7b6e5a00011f03bf5",
+    ),
+    "sigma-full-Z64xZ64-text": (
+        ["sigma", "--group", "Z64xZ64", "--set", _drawn_set("Z64xZ64", 40, 3)],
+        "547892c7b975a7e85f6849a36a73e7ea063d2a1a0d385f0d394b3088f4414dd2",
+    ),
+    "sigma-subgroup-Z12": (
+        ["sigma", "--group", "Z12", "--set", "4;8", "--json"],
+        "8177308deed2c660cf175105f3243b3d74c3cabc8ec98fc03c2380bf80b1b14d",
+    ),
+    "sigma-stabilizer-below-sigma-Z12": (
+        ["sigma", "--group", "Z12", "--set", "1;2", "--json"],
+        "43bf4d40cac3216e9ac4e6def002ca207f679f4fc524197d07fd0f270975c024",
+    ),
+    "construct-greedy-Z4096": (
+        ["construct", "--group", "Z4096", "--set", _drawn_set("Z4096", 40, 6),
+         "--greedy", "--u", "40", "--json"],
+        "06e26053c0aed5777c412f75c50f27bbddbcb4d5d6e2210edc65663ddc52efd7",
+    ),
+    "construct-greedy-Z64xZ64": (
+        ["construct", "--group", "Z64xZ64", "--set", _drawn_set("Z64xZ64", 40, 7),
+         "--greedy", "--u", "40", "--json"],
+        "ef3c7a9d3b76d8ac7467542d1576c2479d9fe43daae0f7cb90adc57771fdb10d",
+    ),
+    "construct-greedy-Z64xZ64-text": (
+        ["construct", "--group", "Z64xZ64", "--set", _drawn_set("Z64xZ64", 40, 7),
+         "--greedy", "--u", "40"],
+        "c37b38743fb2ec7ead82d618d970b118be91965d59843417ebd39c8039f44ebb",
+    ),
+    "construct-exact-Z4096": (
+        ["construct", "--group", "Z4096", "--set", _drawn_set("Z4096", 12, 8),
+         "--exact", "--json"],
+        "a3e915b55983326bb4db4426983b5201757f280965af4f7d76062d4f94ddf730",
+    ),
+    "construct-exact-Z4096-text": (
+        ["construct", "--group", "Z4096", "--set", _drawn_set("Z4096", 12, 8),
+         "--exact"],
+        "99b7927521d6d3f076dab1866115f19a147d1dbafd33d4e66f55e81e8c518ad7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_golden_digest(name, capsys):
+    argv, digest = CLI_CASES[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -80,12 +80,16 @@ LITERAL_GROUPS = [
 
 
 @pytest.mark.parametrize("factors", LITERAL_GROUPS)
-def test_literal_of_empty_and_full_sets(factors):
-    g = make_group(factors)
-    for mask in (0, g.full_mask):
-        A = GroupSet(g, mask)
-        assert A.literal() == naive_literal(g, mask)
-        assert A.members() == list(_iter_bits(mask))
+@settings(max_examples=25, deadline=None)
+@given(drawn=st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def test_literal_of_empty_and_full_sets(factors, drawn):
+    # besides the listed groups, drawn arrangements of small factors,
+    # factor 1 included
+    for g in (make_group(factors), make_group(drawn)):
+        for mask in (0, g.full_mask):
+            A = GroupSet(g, mask)
+            assert A.literal() == naive_literal(g, mask)
+            assert A.members() == list(_iter_bits(mask))
 
 
 @settings(max_examples=120, deadline=None)
