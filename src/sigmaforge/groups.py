@@ -175,6 +175,26 @@ def _shift_mask(group: Group, mask: int, g: int) -> int:
     return mask
 
 
+def _shift_plan(group: Group, g: int) -> tuple:
+    """The rotations of `_shift_mask` by g, as `(up, down, unit)` triples.
+
+    One triple per nonzero digit of g, with `unit` the group's own bitmap
+    of block starts, so a plan holds no new |G|-bit integer.  A caller
+    that translates by the same g many times applies it inline, as
+    `_shift_mask` does, and skips the per-call digit arithmetic:
+    `kept = mask & ((unit << down) - unit)`, then
+    `mask = (kept << up) | ((mask ^ kept) >> down)`.  `_shift_mask` stays
+    the single-shot kernel and builds no plan, which would cost a tuple
+    per call.
+    """
+    plan = []
+    for n, stride, unit in group._digits:
+        if s := g // stride % n:
+            up = s * stride
+            plan.append((up, n * stride - up, unit))
+    return tuple(plan)
+
+
 class GroupSet:
     """A subset of a group as a flat bitmap with cached cardinality."""
 
@@ -455,6 +475,25 @@ def _join(group: Group, h: int, gens: int) -> int:
     return h
 
 
+def _torsion_mask(group: Group, d: int) -> int:
+    """Bitmap of the subgroup G[d] = {x : d·x = 0}.
+
+    d·x = 0 iff each digit x_i has d·x_i ≡ 0 mod n_i, that is, x_i is a
+    multiple of q_i = n_i / gcd(d, n_i).  Built digit by digit, lowest
+    first: if m (below 2^w) marks the allowed values of the w indices of
+    the lower digits, the allowed indices below n_i·w are m shifted by
+    j·q_i·w for j < n_i / q_i, that is m times the repunit
+    (2^(n_i·w) - 1) / (2^(q_i·w) - 1), whose bits are q_i·w >= w apart, so
+    the product has no carries.
+    """
+    mask, width = 1, 1
+    for n in group.factors:
+        q = n // math.gcd(d, n)
+        mask *= ((1 << n * width) - 1) // ((1 << q * width) - 1)
+        width *= n
+    return mask
+
+
 class Quotient:
     """G/H as a plain `Group` on its invariant factors, plus the projection.
 
@@ -598,10 +637,10 @@ def parse_index(group: Group, literal: str) -> int:
         raise ValueError(
             f"element {literal!r} needs {len(group.factors)} coordinates"
         )
-    return sum(
-        int(p) % n * stride
-        for p, n, stride in zip(parts, group.factors, group.strides)
-    )
+    index = 0
+    for p, n, stride in zip(parts, group.factors, group.strides):
+        index += int(p) % n * stride
+    return index
 
 
 def parse_element(group: Group, literal: str) -> Element:

@@ -5,7 +5,9 @@ one too); sequences are `SequenceMS` multisets.  The workhorse is
 `groups._shift_mask`: translating a set by a group element is a
 mixed-radix rotation of its bitmap, done per invariant factor with
 word-level shift/or, so a sumset costs O(|B|) big-int rotations.  It lives
-in `groups` with `GroupSet` and the per-digit block starts it reads.
+in `groups` with `GroupSet` and the per-digit block starts it reads;
+`subset_walk` applies the same rotations inline from per-element plans
+(`groups._shift_plan`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd, lcm
 
 from .groups import (
     Element,
@@ -26,6 +28,8 @@ from .groups import (
     _iter_bits,
     _join,
     _shift_mask,
+    _shift_plan,
+    _torsion_mask,
     quotient,
 )
 
@@ -157,8 +161,11 @@ def subset_walk(group: Group, elems, size=None, settled=None):
     list precedes its extensions (a prefix sorts first), and two lists that
     first differ in their i-th entry sit in sibling subtrees, visited in
     ascending order of that entry.  Each node costs at most one rotation,
-    since Sigma(B ∪ {a}) = Sigma(B) | (Sigma(B) + a); the walk keeps one
-    (mask, Sigma) pair per level of the current path.  `elems` are distinct
+    since Sigma(B ∪ {a}) = Sigma(B) | (Sigma(B) + a).  The rotation by a
+    is applied inline from a plan built once per element by
+    `groups._shift_plan`, which holds no |G|-bit integer, so the walk pays
+    no call or digit arithmetic per node.  It keeps one (mask, Sigma) pair
+    per level of the current path and its depth.  `elems` are distinct
     element indices.
 
     With `size`, only the subsets that extend to a `size`-subset by larger
@@ -190,19 +197,23 @@ def subset_walk(group: Group, elems, size=None, settled=None):
     if settled is not None and full == 1:  # |G| = 1: the root's Sigma is G
         settled.instances += comb(n, size) if sized else 1 << n
         return
+    plans = [_shift_plan(group, a) for a in elems]
     path = [(-1, 0, 1)]  # (position in `elems` of max(B), B, Sigma(B))
     if (yield 0, 1):
         yield
         return
+    depth = 0  # |B| for the last node on the path
     nxt = 0  # position of the next child to try
-    while path:
-        depth = len(path) - 1
+    while True:
         if nxt < n and depth < size and nxt <= room + depth:
-            _, m, s = path[-1]
-            a = elems[nxt]
-            m |= 1 << a
+            _, m, s = path[depth]
+            m |= 1 << elems[nxt]
             if s != full:  # Sigma(B) = G stays G
-                s |= _shift_mask(group, s, a)
+                t = s
+                for up, down, unit in plans[nxt]:  # t = Sigma(B) + a
+                    kept = t & ((unit << down) - unit)
+                    t = (kept << up) | ((t ^ kept) >> down)
+                s |= t
                 if settled is not None and s == full:
                     r = n - nxt - 1
                     settled.instances += comb(r, size - depth - 1) if sized else 1 << r
@@ -212,9 +223,13 @@ def subset_walk(group: Group, elems, size=None, settled=None):
                 yield  # skipped: the next sibling follows
             else:
                 path.append((nxt, m, s))
+                depth += 1
             nxt += 1
-        else:
+        elif depth:
             nxt = path.pop()[0] + 1
+            depth -= 1
+        else:
+            return
 
 
 def subsequence_sums(a: SequenceMS) -> GroupSet:
@@ -235,15 +250,30 @@ def subsequence_sums(a: SequenceMS) -> GroupSet:
 def stabilizer(S: GroupSet) -> Subgroup:
     """stab(S) = {g : S + g = S}; all of G for S empty or S = G.
 
+    The `Subgroup` on the bitmap of `_stabilizer_mask`.
+    """
+    return Subgroup(S.group, _stabilizer_mask(S.group, S.mask, S.card))
+
+
+def _stabilizer_mask(group: Group, mask: int, card: int) -> int:
+    """Bitmap of stab(S) for the bitmap `mask` of S, where `card` = |S|.
+
+    Lagrange first.  S is a union of H-cosets for H = stab(S), so |H|
+    divides d = gcd(|S|, |G|), and every h in H has order dividing |H|:
+    H ⊆ G[d] = {x : d·x = 0} (`groups._torsion_mask`).  So d = 1 gives
+    H = {0} with no rotation, and G[d] bounds the candidates below.  It is
+    all of G when every n_i divides d, and is then not built.
+
     Candidate refinement.  S + g = S iff (G \\ S) + g = G \\ S, since
     translation by g is a bijection of G; so S is replaced by its complement
-    when that is smaller.  The loop keeps a subgroup H and a candidate set C
-    with H ⊆ stab(S) ⊆ C:
-    - start: H = {0} and C = S - m0 for m0 = min S, as S + g = S puts
-      m0 + g in S;
+    when that is smaller (|G \\ S| gives the same d).  The loop keeps a
+    subgroup H and a candidate set C with H ⊆ stab(S) ⊆ C:
+    - start: H = {0} and C = (S - m0) ∩ G[d] for m0 = min S, as S + g = S
+      puts m0 + g in S;
     - take the least c in C \\ H and test S + c = S (one rotation);
     - if it holds, H becomes <H, c> by the doubling of `groups._join`, in
-      ceil(log2 |<H, c>| / |H|) rotations;
+      ceil(log2 |<H, c>| / |H|) rotations; H and c lie in the subgroup
+      G[d], so the join stays inside it;
     - if it fails, some t in S + c lies outside S, and s = t - c is in S
       with s + c outside S.  Then C &= S - s (one rotation) keeps
       stab(S), since s + g is in S for every g in it, and drops c + H,
@@ -255,27 +285,30 @@ def stabilizer(S: GroupSet) -> Subgroup:
     scanning every candidate; a random set loses about half of C per
     failure and needs about 2·log2|S|.
     """
-    g = S.group
-    full = g.full_mask
-    s_mask = S.mask
-    if s_mask == 0 or s_mask == full:
-        return Subgroup(g, full)
-    if 2 * S.card > g.order:
-        s_mask ^= full
-    m0 = (s_mask & -s_mask).bit_length() - 1
-    cand = _shift_mask(g, s_mask, g.neg_index(m0))
+    full = group.full_mask
+    if mask == 0 or mask == full:
+        return full
+    d = gcd(card, group.order)
+    if d == 1:
+        return 1
+    if 2 * card > group.order:
+        mask ^= full
+    m0 = (mask & -mask).bit_length() - 1
+    cand = _shift_mask(group, mask, group.neg_index(m0))
+    if d % lcm(*group.factors):
+        cand &= _torsion_mask(group, d)
     h = 1
     while rest := cand & ~h:
         c = (rest & -rest).bit_length() - 1
-        moved = _shift_mask(g, s_mask, c)
-        if moved == s_mask:
-            h = _join(g, h, 1 << c)
+        moved = _shift_mask(group, mask, c)
+        if moved == mask:
+            h = _join(group, h, 1 << c)
         else:
-            out = moved & ~s_mask
+            out = moved & ~mask
             t = (out & -out).bit_length() - 1
             # S - s for s = t - c
-            cand &= _shift_mask(g, s_mask, g.add_index(c, g.neg_index(t)))
-    return Subgroup(g, h)
+            cand &= _shift_mask(group, mask, group.add_index(c, group.neg_index(t)))
+    return h
 
 
 def generated_subgroup(group: Group, S: GroupSet) -> Subgroup:

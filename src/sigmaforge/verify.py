@@ -7,19 +7,22 @@ single thread, so no instance list is ever held in memory.  Exhaustive
 `main`/`corollary` and exhaustive `extremal_search` walk the subsets with
 `setcalc.subset_walk`: one rotation per subset walked, since each Sigma
 extends its parent's, and both skip the subtrees whose answer is already
-known.  The walk settles a subset whose Sigma is all of G: it counts the
+known; it rotates by a per-element plan (`groups._shift_plan`) inline.
+The walk settles a subset whose Sigma is all of G: it counts the
 subset and its extensions, all with Sigma = G, without yielding them.
 `main`/`corollary` walk only the subsets B of G \\ {0}: B ∪ {0} has the
 same Sigma, stabilizer and |A \\ H|, so each node stands for two sets.  A
 full Sigma has slack 0 under both theorems, which ties [], the first set,
-so a settled subset neither fails nor is the witness; `stabilizer` runs
-once per distinct Sigma.  The search walks only the prefixes of its
+so a settled subset neither fails nor is the witness.  The stabilizer runs
+once per distinct Sigma, on the raw mask (`setcalc._stabilizer_mask`, no
+`GroupSet` or `Subgroup` built); by Lagrange it costs no rotation when
+gcd(|Sigma|, |G|) = 1.  The search walks only the prefixes of its
 k-subsets, lets the walk settle a prefix whose Sigma is full, skips one
-no smaller than the best so far, and runs `stabilizer` only on a k-subset
-that would beat the best so far; its hill-climb mode reaches each
-neighbour's Sigma with one rotation.  The walk visits the subsets in lex
-order of their member lists, so the first least-slack subset is the
-lex-least witness.  The other verifiers evaluate each instance
+whose |Sigma| plus its missing members is no smaller than the best so far,
+and runs the stabilizer only on a k-subset that would beat the best so
+far; its hill-climb mode reaches each neighbour's Sigma with one
+rotation.  The walk visits the subsets in lex order of their member
+lists, so the first least-slack subset is the lex-least witness.  The other verifiers evaluate each instance
 through `_verify`; both paths assemble the run in `_run`.  The completeness
 checks `olson_check`/`vu_check` run one `subset_sums` per instance, on a
 bitmap summed from the instance's index tuple in one C-level pass.
@@ -38,6 +41,7 @@ from .setcalc import (
     GroupSet,
     SequenceMS,
     Settled,
+    _stabilizer_mask,
     stabilizer,
     subset_sums,
     subset_walk,
@@ -259,8 +263,9 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
         count += 1
         t = terms.get(sigma)
         if t is None:
-            H = stabilizer(GroupSet(group, sigma))
-            t = terms[sigma] = (sigma.bit_count(), H.mask, H.card)
+            size = sigma.bit_count()
+            h = _stabilizer_mask(group, sigma, size)
+            t = terms[sigma] = (size, h, h.bit_count())
         sigma_size, h_mask, h_size = t
         outside = (mask & ~h_mask).bit_count()
         lhs, rhs = sides(sigma_size, h_size, outside)
@@ -589,13 +594,18 @@ def extremal_search(
 ) -> ExtremalRecord:
     """Minimize |Sigma(A)| over k-subsets of G \\ {0} with trivial stab(Sigma).
 
-    Sets are bitmaps ranked by `_precedes`; `stabilizer` runs only on a set
-    that would become the best so far.  Exhaustive mode walks the k-subsets
-    in `combinations` order, so the first least |Sigma| precedes the later
-    ones and wins ties.  The walk settles the subtree of a prefix whose
-    Sigma is G, since stab(G) = G makes every extension infeasible, and the
-    search skips that of a prefix whose |Sigma| is no smaller than the best
-    so far, since Sigma only grows along the path.  Hill-climb moves from each seeded random k-set A
+    Sets are bitmaps ranked by `_precedes`; the stabilizer
+    (`setcalc._stabilizer_mask`) runs only on a set that would become the
+    best so far.  Exhaustive mode walks the k-subsets in `combinations`
+    order, so the first least |Sigma| precedes the later ones and wins
+    ties.  The walk settles the subtree of a prefix whose Sigma is G, since
+    stab(G) = G makes every extension infeasible.  The search skips that of
+    a prefix B with |Sigma(B)| + (k - |B|) no smaller than the best so far:
+    each of the k - |B| steps to a feasible k-set grows Sigma.  If a step
+    by a leaves Sigma(B') unchanged, then Sigma(B') + a = Sigma(B'), so
+    a ∈ stab(Sigma(B')); and stab(S) ⊆ stab(S ∪ (S + c)) for every c, so
+    the nonzero a stays in the stabilizer of every later Sigma, and the
+    k-set is infeasible.  Hill-climb moves from each seeded random k-set A
     to its least feasible neighbour A - out + inc that precedes A, until
     none does; each neighbour's Sigma is one rotation of Sigma(A \\ {out}),
     since Sigma(B ∪ {x}) = Sigma(B) | (Sigma(B) + x).
@@ -605,7 +615,7 @@ def extremal_search(
     nonzero = range(1, group.order)
 
     def feasible(sigma):
-        return stabilizer(GroupSet(group, sigma)).mask == 1
+        return _stabilizer_mask(group, sigma, sigma.bit_count()) == 1
 
     best = None  # (|Sigma|, mask)
     if mode == "exhaustive":
@@ -618,9 +628,10 @@ def extremal_search(
         walk = subset_walk(group, nonzero, k, Settled())
         for mask, sigma in walk:
             size = sigma.bit_count()
-            if best is not None and size >= best[0]:
+            need = k - mask.bit_count()
+            if best is not None and size + need >= best[0]:
                 walk.send(True)
-            elif mask.bit_count() == k and feasible(sigma):
+            elif not need and feasible(sigma):
                 best = (size, mask)
     elif mode == "hillclimb":
         if seed is None or restarts is None:

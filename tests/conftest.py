@@ -5,7 +5,7 @@ The `naive_*` oracles are kept independent of the bitmap kernels.  The
 `subset_sums` and formatting every report, so they pin the output of the
 subset walk's clients and of the incremental hill-climb in `verify` byte
 for byte.  `count_work` counts rotations and element additions for the
-work-budget tests.
+work-budget tests, and `CountedWalk` the nodes a subset walk yields.
 """
 
 from __future__ import annotations
@@ -323,6 +323,28 @@ def completeness_loop(theorem, n, t, sample=None, seed=None):
         mode="exhaustive" if sample is None else "random",
         counterexamples=counterexamples, stats=stats, seed=seed, trials=sample,
     )
+
+
+class CountedWalk:
+    """A `subset_walk` that counts the nodes it yields, passing `send` on.
+
+    The walk rotates inline, by per-element plans, so `count_work` does
+    not see its rotations: every node but the root costs at most one.
+    """
+
+    def __init__(self, walk):
+        self.walk, self.nodes = walk, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        node = next(self.walk)
+        self.nodes += 1
+        return node
+
+    def send(self, value):
+        return self.walk.send(value)
 
 
 def count_work(monkeypatch):

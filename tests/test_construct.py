@@ -24,7 +24,8 @@ from sigmaforge import (
     witness_hard,
 )
 from sigmaforge import construct
-from conftest import count_work, half_subset_loop
+from sigmaforge.setcalc import subset_walk
+from conftest import CountedWalk, count_work, half_subset_loop
 
 
 def gset(g, idxs):
@@ -446,12 +447,23 @@ def test_best_half_inside_a_proper_subgroup_matches_combinations_loop(spec, data
 
 def test_best_half_stops_at_the_span_of_a(monkeypatch):
     # the 24 even elements of Z48: |<A>| = 24 is reached at the first leaf,
-    # so the walk makes u = 12 rotations besides the closure <A> and its check
+    # so the walk yields the root and one node per level, u = 12 rotations
+    # by its inline plans, and `count_work` sees only the closure <A> and
+    # its check
+    walks = []
+
+    def counted(*args):
+        walks.append(CountedWalk(subset_walk(*args)))
+        return walks[-1]
+
+    monkeypatch.setattr(construct, "subset_walk", counted)
     calls = count_work(monkeypatch)
     g = make_group([48])
     B, size = best_half_subset(gset(g, range(0, 48, 2)))
     assert (B.members(), size) == (list(range(0, 24, 2)), 24)
-    assert calls["rotations"] <= 12 + 4 * math.log2(48), calls
+    [walk] = walks
+    assert walk.nodes - 1 <= 12, walk.nodes  # the root costs no rotation
+    assert calls["rotations"] <= 4 * math.log2(48), calls
 
 
 def test_best_half_capacity():

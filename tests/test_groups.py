@@ -19,7 +19,7 @@ from sigmaforge import (
     quotient,
     zero,
 )
-from sigmaforge.groups import _iter_bits
+from sigmaforge.groups import _iter_bits, _torsion_mask, parse_index
 from conftest import naive_closure, naive_literal, naive_mask, naive_quotient
 
 
@@ -321,6 +321,31 @@ def test_parse_element():
         parse_element(parse_group("Z12"), "1,2")
     with pytest.raises(ValueError):
         parse_element(parse_group("Z2xZ3"), "1,1,1")
+
+
+def test_parse_index_wraps_and_rejects():
+    g = parse_group("Z12xZ2")
+    assert parse_index(g, "13,-1") == parse_element(g, "1,1").index == 13
+    assert parse_index(parse_group("Z5"), " 7") == 2
+    for bad in ("3", "1,1,1", "1,x", "1.0,1", ""):
+        with pytest.raises(ValueError):
+            parse_index(g, bad)
+
+
+@pytest.mark.parametrize(
+    "factors", [(1,), (2,), (60,), (6, 6), (3, 9), (2, 4, 8), (2, 2, 2, 2, 2)]
+)
+def test_torsion_mask_matches_multiples_oracle(factors):
+    # G[d] = {x : d·x = 0}, with d·x summed by d additions
+    g = make_group(factors)
+    for d in (d for d in range(1, g.order + 1) if g.order % d == 0):
+        want = 0
+        for x in range(g.order):
+            y = 0
+            for _ in range(d):
+                y = g.add_index(y, x)
+            want |= (y == 0) << x
+        assert _torsion_mask(g, d) == want, d
 
 
 def test_capacity_cap(monkeypatch):

@@ -391,6 +391,26 @@ def test_subset_walk_skipping_the_root_ends_it():
         assert list(walk) == []
 
 
+@given(
+    st.sampled_from([(1,), (2, 2, 2, 2, 2), (4, 8), (3, 9)]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_walk_sigmas_match_naive_sigma(factors, settling, data):
+    # the walk rotates by per-element plans inline; each Sigma it yields is
+    # the subset sums of the node's members, computed subset by subset
+    g = make_group(factors)
+    elems = data.draw(st.lists(st.integers(0, g.order - 1), unique=True, max_size=7))
+    size = data.draw(st.none() | st.integers(0, len(elems)))
+    settled = Settled() if settling else None
+    nodes = list(subset_walk(g, elems, size, settled))
+    assert nodes or (settling and g.order == 1)
+    for mask, sigma in nodes:
+        assert GroupSet(g, sigma).members() == naive_sigma(g, GroupSet(g, mask).members())
+        assert not settling or sigma != g.full_mask
+
+
 def test_subsequence_sums_examples():
     g9 = make_group([9])
     assert subsequence_sums(SequenceMS(g9)).members() == [0]
@@ -438,7 +458,9 @@ def test_stabilizer_matches_shift_oracle(factors, data):
 
 
 @given(
-    st.sampled_from([(12,), (64,), (2, 2, 2, 2), (4, 8), (2, 4, 8), (3, 3, 2)]),
+    st.sampled_from(
+        [(12,), (64,), (2, 2, 2, 2), (4, 8), (2, 4, 8), (3, 3, 2), (6, 6), (3, 9), (60,)]
+    ),
     st.booleans(),
     st.data(),
 )
@@ -516,6 +538,22 @@ def test_generated_subgroup_rotation_budget(spec, monkeypatch):
         assert calls["rotations"] <= 4 * math.log2(g.order), (elems, calls)
         assert calls["additions"] <= calls["rotations"], (elems, calls)
         assert K.mask & S.mask == S.mask
+
+
+def test_stabilizer_of_a_size_prime_to_the_order_costs_no_rotation(monkeypatch):
+    # |stab(S)| divides gcd(|S|, |G|), so gcd 1 answers {0} with no rotation:
+    # every odd-size set of Z2^12 (the scan took about 2·log2|S| before),
+    # and sets of Z12 and Z3xZ9 whose sizes are prime to the order
+    rng = random.Random(19)
+    calls = count_work(monkeypatch)
+    for spec, sizes in (("x".join(["Z2"] * 12), range(1, 4096, 2)),
+                        ("Z12", (1, 5, 7, 11)), ("Z3xZ9", (1, 2, 13, 26))):
+        g = parse_group(spec)
+        for size in rng.sample(sizes, min(len(sizes), 40)):
+            S = gset(g, rng.sample(range(g.order), size))
+            calls["rotations"] = 0
+            assert stabilizer(S) == gset(g, [0])
+            assert calls["rotations"] == 0, (spec, size, calls)
 
 
 def test_stabilizer_of_a_subgroup_counts_its_doublings(monkeypatch):

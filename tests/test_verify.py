@@ -25,6 +25,7 @@ from sigmaforge.setcalc import subset_walk
 from sigmaforge.verify import _KneserKey, _precedes, _text_lt, vu_threshold
 import conftest
 from conftest import (
+    CountedWalk,
     completeness_loop,
     exhaustive_loop,
     hillclimb_loop,
@@ -93,29 +94,11 @@ def test_exhaustive_counterexamples_match_loop(theorem, spec, monkeypatch):
     assert run.to_json() == exhaustive_loop(g, theorem).to_json()
 
 
-class _CountedWalk:
-    """A `subset_walk` that counts the nodes it yields, passing `send` on."""
-
-    def __init__(self, walk):
-        self.walk, self.nodes = walk, 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        node = next(self.walk)
-        self.nodes += 1
-        return node
-
-    def send(self, value):
-        return self.walk.send(value)
-
-
 def test_exhaustive_walk_settles_full_sigma_subtrees(monkeypatch):
     walks = []
 
     def counted(*args, settled=None):
-        walks.append((_CountedWalk(subset_walk(*args, settled=settled)), settled))
+        walks.append((CountedWalk(subset_walk(*args, settled=settled)), settled))
         return walks[-1][0]
 
     monkeypatch.setattr(verify, "subset_walk", counted)
@@ -429,6 +412,21 @@ def test_extremal_search_matches_combinations_loop(n, ks):
     g = make_group([n])
     for k in ks:
         assert extremal_search(g, k).to_json() == search_loop(g, k).to_json()
+
+
+SEARCH_GROUPS = [f"Z{n}" for n in range(2, 17)] + [
+    "Z2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "Z2xZ6", "Z3xZ4", "Z2xZ8", "Z4xZ4", "Z2xZ2xZ4",
+]
+
+
+@given(st.sampled_from(SEARCH_GROUPS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_extremal_search_matches_combinations_loop_on_every_k(spec, data):
+    # the prune |Sigma(B)| + (k - |B|) >= best fires at every depth, and
+    # the infeasible k (every Sigma with a nontrivial stabilizer) come up
+    g = parse_group(spec)
+    k = data.draw(st.integers(1, g.order - 1))
+    assert extremal_search(g, k).to_json() == search_loop(g, k).to_json()
 
 
 def test_extremal_search_hillclimb_dominated():
