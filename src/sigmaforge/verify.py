@@ -25,7 +25,8 @@ rotation.  The walk visits the subsets in lex order of their member
 lists, so the first least-slack subset is the lex-least witness.  The other verifiers evaluate each instance
 through `_verify`; both paths assemble the run in `_run`.  The completeness
 checks `olson_check`/`vu_check` run one `subset_sums` per instance, on a
-bitmap summed from the instance's index tuple in one C-level pass.
+bitmap summed from the instance's member tuple in one C-level pass: an
+exhaustive instance holds its members' bits, a sampled one their indices.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .groups import CapacityError, Group, _iter_bits, _shift_mask
 from .setcalc import (
@@ -145,14 +146,13 @@ def _verify(instances, evaluate, literal, key=None, extra_stats=None, **run_fiel
 
     `evaluate(inst)` returns `(slack, payload)`, where `payload` is the
     counterexample record, or None when the instance satisfies the bound.
-    The witness is the instance with the least `(slack, key(inst))`
-    (`key` defaults to the instance itself); `key` is only computed for
-    instances that can still win, and `literal` formats the witness once,
-    at the end.  `run_fields` are the remaining `VerificationRun` fields.
+    The witness is the instance with the least `(slack, key(inst))`;
+    `key=None` compares the instances themselves, with no call.  `key` is
+    only computed for instances that can still win, and `literal` formats
+    the witness once, at the end.  `run_fields` are the remaining
+    `VerificationRun` fields.
     """
     t0 = time.perf_counter()
-    if key is None:
-        key = lambda inst: inst  # noqa: E731
     counterexamples = []
     count = 0
     best_slack = best_key = best = None
@@ -162,7 +162,7 @@ def _verify(instances, evaluate, literal, key=None, extra_stats=None, **run_fiel
         if payload is not None:
             counterexamples.append(payload)
         if best_slack is None or slack <= best_slack:
-            k = key(inst)
+            k = inst if key is None else key(inst)
             if best_slack is None or slack < best_slack or k < best_key:
                 best_slack, best_key, best = slack, k, inst
     witness = None if best_slack is None else literal(best)
@@ -424,34 +424,42 @@ def olson_threshold(p: int) -> int:
     return math.isqrt(4 * p - 7)
 
 
-def _completeness(group, instances, **run_fields) -> VerificationRun:
-    """`_verify` over sorted index tuples whose Sigma must be all of `group`.
+def _completeness(group, instances, mask_of=sum, **run_fields) -> VerificationRun:
+    """`_verify` over sorted member tuples whose Sigma must be all of `group`.
 
-    An instance's bitmap is the sum of its members' bits, in one C-level
-    pass, not `GroupSet.from_indices`: every instance is a tuple of
-    distinct in-range ints (a `combinations` of `range(1, p)` or of the
-    units, or `sorted(rng.sample(units, k))`), so it needs no check, and
-    the sum of distinct powers of two equals their OR.  The masks are short
-    (at most 73 bits for Olson 19 and Vu 73), so each term is at most three
-    30-bit digits and the sum runs without per-item Python code, where
-    `from_indices` checks every item.  `GroupSet` still rejects a bit
-    outside the group.  (A table of the |G| bits would be faster still, but
-    holds about |G|^2/16 bytes, too many for a sampled `vu_check` on a
-    large group.)
+    An instance holds its members as bits `1 << a` (the exhaustive checks)
+    or as indices (sampled `vu_check`), and `mask_of` turns it into its
+    bitmap in one C-level pass: `sum` for bits, `sum(map(bit, ...))` for
+    indices.  The members are distinct in-range ints (`combinations` of the
+    nonzero elements or of the units, or `sorted(rng.sample(units, k))`),
+    so the sum of their bits equals their OR and needs no
+    `GroupSet.from_indices` check; `GroupSet` still rejects a bit outside
+    the group.  a -> 1 << a is increasing, so bit tuples compare as their
+    index tuples do, and the witness and the counterexample order are
+    unchanged.  The exhaustive checks build a table of their members' bits
+    once: exhaustive Vu runs only for n <= 1020 (phi <= 256) and Olson only
+    for p <= `OLSON_CAP`, so the table holds at most phi * n / 8 bytes of
+    bits, about 33 KB.  Sampled `vu_check` keeps index tuples: its table
+    would take about |G|^2/16 bytes, 1.1 GB at n = 131,071.
     """
-    bit = (1).__lshift__
 
-    def evaluate(idxs):
-        sigma = subset_sums(GroupSet(group, sum(map(bit, idxs))))
+    def evaluate(inst):
+        sigma = subset_sums(GroupSet(group, mask_of(inst)))
         if sigma.mask == group.full_mask:
             return 0, None
-        payload = {"set": literal(idxs), "sigma_size": sigma.card}
+        payload = {"set": literal(inst), "sigma_size": sigma.card}
         return sigma.card - group.order, payload
 
-    def literal(idxs):
-        return GroupSet(group, sum(map(bit, idxs))).literal()
+    def literal(inst):
+        return GroupSet(group, mask_of(inst)).literal()
 
     return _verify(instances, evaluate, literal, group=group.spec(), **run_fields)
+
+
+def _bit_combinations(members, t):
+    """The `combinations` of `members` with at least `t` of them, as tuples of bits."""
+    bits = [1 << a for a in members]
+    return chain.from_iterable(combinations(bits, k) for k in range(t, len(bits) + 1))
 
 
 def olson_check(p: int) -> VerificationRun:
@@ -465,10 +473,8 @@ def olson_check(p: int) -> VerificationRun:
     if p > OLSON_CAP:
         raise CapacityError(f"p = {p} exceeds cap {OLSON_CAP}")
     t = olson_threshold(p)
-    nonzero = range(1, p)
-    instances = (A for k in range(t, p) for A in combinations(nonzero, k))
     return _completeness(
-        Group([p]), instances, extra_stats={"threshold": t},
+        Group([p]), _bit_combinations(range(1, p), t), extra_stats={"threshold": t},
         theorem="olson", mode="exhaustive",
     )
 
@@ -497,6 +503,22 @@ def vu_threshold(n: int) -> int:
     return s if s * s == 64 * n else s + 1
 
 
+def _vu_enumerable(phi: int, t: int) -> bool:
+    """Whether the sum of C(phi, k) over k >= t is at most `VU_ENUM_CAP`.
+
+    By C(phi, k) = C(phi, phi - k) that sum is the sum of C(phi, j) over
+    j <= phi - t; each term comes from the one before, and the sum stops
+    once it passes the cap, so a large phi costs a few terms, not phi.
+    """
+    total = term = 1
+    for j in range(1, phi - t + 1):
+        term = term * (phi - j + 1) // j
+        total += term
+        if total > VU_ENUM_CAP:
+            return False
+    return total <= VU_ENUM_CAP
+
+
 def vu_check(
     n: int,
     sample: int | None = None,
@@ -505,6 +527,8 @@ def vu_check(
     """Unit subsets of Z_n of size >= ceil(8 sqrt(n)) must have Sigma = Z_n."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    if sample is not None and sample < 1:
+        raise ValueError("sample must be >= 1")
     t0 = time.perf_counter()
     group = Group([n])
     t = vu_threshold(n)
@@ -519,20 +543,18 @@ def vu_check(
             millis=(time.perf_counter() - t0) * 1000.0,
         )
 
-    total = sum(math.comb(phi, k) for k in range(t, phi + 1))
-    if total <= VU_ENUM_CAP:
-        instances = (A for k in range(t, phi + 1) for A in combinations(units, k))
+    extra = {"threshold": t, "phi": phi}
+    if _vu_enumerable(phi, t):
         return _completeness(
-            group, instances, extra_stats={"threshold": t, "phi": phi},
+            group, _bit_combinations(units, t), extra_stats=extra,
             theorem="vu", mode="exhaustive",
         )
     if sample is None or seed is None:
         raise CapacityError(
-            f"{total} qualifying subsets exceed cap {VU_ENUM_CAP}; "
+            f"more than {VU_ENUM_CAP} qualifying subsets; "
             "pass sample and seed for randomized mode"
         )
-    if sample < 1:
-        raise ValueError("sample must be >= 1")
+    bit = (1).__lshift__
 
     def sampled():
         rng = random.Random(seed)
@@ -540,7 +562,7 @@ def vu_check(
             yield tuple(sorted(rng.sample(units, rng.randint(t, phi))))
 
     return _completeness(
-        group, sampled(), extra_stats={"threshold": t, "phi": phi},
+        group, sampled(), lambda idxs: sum(map(bit, idxs)), extra_stats=extra,
         theorem="vu", mode="random", seed=seed, trials=sample,
     )
 

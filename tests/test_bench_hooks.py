@@ -40,6 +40,15 @@ assert m["verify.evaluations_per_instance"] == 1.0, m
 assert m["groups.quotient.calls"] == 0, m
 """
 
+# sampled Vu keeps index tuples and stays on `_verify`
+SAMPLED_VU = """
+verify.vu_check(293, sample=10, seed=7)
+m = tracer.layer_metrics(1.0)
+assert m["verify.instances"] == 10, m
+assert m["verify.evaluations_per_instance"] == 1.0, m
+assert m["groups.quotient.calls"] == 0, m
+"""
+
 
 def run_traced(body):
     script = PREAMBLE.format(src=str(ROOT / "src"), bench=str(ROOT / "bench")) + body
@@ -55,3 +64,7 @@ def test_traced_layers_are_reached():
 
 def test_completeness_runs_one_subset_sums_per_instance():
     run_traced(COMPLETENESS)
+
+
+def test_sampled_vu_runs_one_subset_sums_per_instance():
+    run_traced(SAMPLED_VU)

@@ -187,11 +187,13 @@ def test_bad_max_order_env_exit_2(capsys, monkeypatch):
 
 
 def test_verify_vu_empty_sample_exit_2(capsys):
-    code, out, err = run(
-        capsys, "verify", "vu", "--n", "293", "--sample", "0", "--seed", "1"
-    )
-    assert code == 2 and out == ""
-    assert "sample must be >= 1" in err
+    # also where --sample is not read: n = 67 is exhaustive, n = 10 vacuous
+    for n in ("293", "67", "10"):
+        code, out, err = run(
+            capsys, "verify", "vu", "--n", n, "--sample", "0", "--seed", "1"
+        )
+        assert code == 2 and out == ""
+        assert "sample must be >= 1" in err
 
 
 def test_verify_vu_vacuous(capsys):

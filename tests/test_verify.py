@@ -1,5 +1,9 @@
+import math
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +37,8 @@ from conftest import (
     naive_sigma,
     search_loop,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_exhaustive_trivial_group():
@@ -337,9 +343,11 @@ def test_vu_sampled_mode():
 
 
 def test_vu_sampled_mode_rejects_empty_sample():
-    for sample in (0, -1):
-        with pytest.raises(ValueError, match="sample must be >= 1"):
-            vu_check(293, sample=sample, seed=1)
+    # on every path: n = 293 samples, n = 67 is exhaustive, n = 10 vacuous
+    for n in (293, 67, 10):
+        for sample in (0, -1):
+            with pytest.raises(ValueError, match="sample must be >= 1"):
+                vu_check(n, sample=sample, seed=1)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -363,6 +371,86 @@ def test_vu_check_matches_combinations_loop(n, t, monkeypatch):
     run = vu_check(n, sample=40, seed=n)
     assert run.mode == "random" and run.counterexamples
     assert run.to_json() == completeness_loop("vu", n, t, 40, n).to_json()
+
+
+def test_vu_mode_choice_matches_the_exact_binomial_rule(monkeypatch):
+    def exact(phi, t):
+        return sum(math.comb(phi, k) for k in range(t, phi + 1)) <= verify.VU_ENUM_CAP
+
+    for n in [*range(2, 301), 430, 560, 576, 900, 1020, 1021]:
+        phi = sum(1 for a in range(1, n) if math.gcd(a, n) == 1)
+        t = vu_threshold(n)
+        if phi >= t:
+            assert verify._vu_enumerable(phi, t) == exact(phi, t), n
+    for cap in (0, 1, 5, 100):
+        monkeypatch.setattr(verify, "VU_ENUM_CAP", cap)
+        for phi in range(12):
+            for t in range(phi + 1):
+                assert verify._vu_enumerable(phi, t) == exact(phi, t), (cap, phi, t)
+
+
+def test_vu_sampled_large_group_memory_and_time():
+    # bits of all 131,070 units would take about 1.1 GB; index tuples a few MB
+    script = f"""
+import resource, sys
+sys.path.insert(0, {SRC!r})
+from sigmaforge import vu_check
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run = vu_check(131071, sample=2, seed=1)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(run.verdict, run.mode, grown)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdict, mode, grown_kb = proc.stdout.split()
+    assert (verdict, mode) == ("verified", "random")
+    assert int(grown_kb) < 64 * 1024
+
+
+def _completeness_members(theorem, n):
+    if theorem == "olson":
+        return list(range(1, n))
+    return [a for a in range(1, n) if math.gcd(a, n) == 1]
+
+
+COMPLETENESS_CASES = [("olson", p) for p in (2, 3, 5, 7, 11)] + [
+    ("vu", n) for n in range(2, 31) if len(_completeness_members("vu", n)) <= 10
+]
+
+
+@given(st.sampled_from(COMPLETENESS_CASES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_completeness_encodings_match_loop(case, data):
+    """Bit-tuple (exhaustive) and index-tuple (sampled) instances vs the loop.
+
+    The threshold is lowered so that counterexamples occur; it is kept
+    where `naive_sigma` stays cheap (about 20,000 subsets in all).
+    """
+    theorem, n = case
+    m = len(_completeness_members(theorem, n))
+    lo = min(
+        t for t in range(m + 1)
+        if sum(math.comb(m, k) << k for k in range(t, m + 1)) <= 20_000
+    )
+    t = data.draw(st.integers(lo, m), label="threshold")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, f"{theorem}_threshold", lambda n: t)
+        if theorem == "olson":
+            run = olson_check(n)
+        else:
+            run = vu_check(n)
+        assert run.mode == "exhaustive"
+        assert run.to_json() == completeness_loop(theorem, n, t).to_json()
+        if theorem == "vu":
+            mp.setattr(verify, "VU_ENUM_CAP", 0)
+            sample = data.draw(st.integers(1, 12), label="sample")
+            seed = data.draw(st.integers(0, 2**32), label="seed")
+            run = vu_check(n, sample=sample, seed=seed)
+            assert run.mode == "random"
+            assert run.to_json() == completeness_loop(
+                "vu", n, t, sample, seed).to_json()
 
 
 def test_interval_example_small():
