@@ -20,7 +20,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, permutations, product
 
 DEFAULT_MAX_ORDER = 1 << 20
 _MAX_ORDER_ENV = "SIGMAFORGE_MAX_ORDER"
@@ -473,6 +473,45 @@ def _join(group: Group, h: int, gens: int) -> int:
             h |= _shift_mask(group, h, step)
             step = group.add_index(step, step)
     return h
+
+
+def _automorphism_images(group: Group) -> list:
+    """Index tables of the maps x -> (u_1·x_pi(1), ..., u_k·x_pi(k)), bar the identity.
+
+    u_i is a unit mod n_i and pi permutes only coordinates of equal
+    moduli n_i > 1, so coordinate i of the image is a unit multiple of a
+    coordinate of the same modulus: each map is an automorphism of G.  A
+    digit with n_i = 1 is always 0 and stays fixed.  The maps form a
+    subgroup of Aut(G) with prod phi(n_i) · prod (multiplicity)! members,
+    the multiplicities those of the moduli > 1, and they are distinct: the
+    image of the unit vector e_j is u_i·e_i at the digit i with pi(i) = j.
+    Table t has t[x] = the index of the image of x.  Z1 and Z2 get no table.
+    """
+    coords = [group.decode(x) for x in range(group.order)]
+    classes = {}  # n > 1 -> the digits of modulus n
+    for i, n in enumerate(group.factors):
+        if n > 1:
+            classes.setdefault(n, []).append(i)
+    if not classes:
+        return []  # Z1
+    # share[i, j]: per unit u mod n_i, digit i's part of the index of every
+    # image, for maps that put u·x_j at digit i (n_j = n_i)
+    share = {
+        (i, j): [
+            tuple(u * c[j] % n * group.strides[i] for c in coords)
+            for u in range(n) if math.gcd(u, n) == 1
+        ]
+        for n, digits in classes.items() for i in digits for j in digits
+    }
+    identity = tuple(range(group.order))
+    tables = []
+    for perms in product(*map(permutations, classes.values())):
+        pairs = [(i, j) for digits, p in zip(classes.values(), perms) for i, j in zip(digits, p)]
+        for picks in product(*(share[pair] for pair in pairs)):
+            table = tuple(map(sum, zip(*picks)))
+            if table != identity:
+                tables.append(table)
+    return tables
 
 
 def _torsion_mask(group: Group, d: int) -> int:

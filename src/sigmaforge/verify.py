@@ -8,12 +8,20 @@ single thread, so no instance list is ever held in memory.  Exhaustive
 `setcalc.subset_walk`: one rotation per subset walked, since each Sigma
 extends its parent's, and both skip the subtrees whose answer is already
 known; it rotates by a per-element plan (`groups._shift_plan`) inline.
-The walk settles a subset whose Sigma is all of G: it counts the
-subset and its extensions, all with Sigma = G, without yielding them.
+The walk settles a subset whose Sigma is all of G: it yields neither the
+subset nor its extensions, all with Sigma = G.
 `main`/`corollary` walk only the subsets B of G \\ {0}: B ∪ {0} has the
 same Sigma, stabilizer and |A \\ H|, so each node stands for two sets.  A
 full Sigma has slack 0 under both theorems, which ties [], the first set,
-so a settled subset neither fails nor is the witness.  The stabilizer runs
+so a settled subset neither fails nor is the witness.  They walk one
+subset per orbit of the automorphisms x -> (u_i·x_pi(i)) of
+`groups._automorphism_images` (units u_i, pi permuting equal moduli): an
+automorphism keeps |Sigma|, |H| and |A \\ H|, so the lex-first least-slack
+set is canonical, and only a failing orbit sends them back to the plain
+walk, which lists every failing set.  Cyclic groups gain by their phi(n)
+unit multiples, Z2^n by its coordinate permutations.  Exhaustive search
+keeps the plain walk: on its small k, building the image tables costs
+more than the nodes it would skip.  The stabilizer runs
 once per distinct Sigma, on the raw mask (`setcalc._stabilizer_mask`, no
 `GroupSet` or `Subgroup` built); by Lagrange it costs no rotation when
 gcd(|Sigma|, |G|) = 1.  The search walks only the prefixes of its
@@ -37,11 +45,16 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 
-from .groups import CapacityError, Group, _iter_bits, _shift_mask
+from .groups import (
+    CapacityError,
+    Group,
+    _automorphism_images,
+    _iter_bits,
+    _shift_mask,
+)
 from .setcalc import (
     GroupSet,
     SequenceMS,
-    Settled,
     _stabilizer_mask,
     stabilizer,
     subset_sums,
@@ -57,7 +70,7 @@ from .bounds import (
     subset_report,
 )
 
-EXHAUSTIVE_SUBSET_CAP = 30
+EXHAUSTIVE_SUBSET_CAP = 32
 KNESER_PAIRS_CAP = 8
 OLSON_CAP = 23
 VU_ENUM_CAP = 200_000
@@ -224,7 +237,7 @@ def exhaustive_theorem(group: Group, theorem: str) -> VerificationRun:
 
 
 def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
-    """`main` or `corollary` on every subset of `group`, in one `subset_walk`.
+    """`main` or `corollary` on every subset of `group`, by `subset_walk`.
 
     Halving: Sigma(B ∪ {0}) = Sigma(B) and 0 lies in every H, so B and
     B ∪ {0} have the same terms (|Sigma|, |H|, |A \\ H|) and the same slack.
@@ -238,11 +251,29 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
     so has every extension, since H = G.  Under both theorems that slack is
     0, which is not negative and ties [], which precedes B; so no set in
     B's subtree fails or is the witness, and the walk settles the subtree:
-    it counts it without yielding it.  Under sides where that slack is
+    it does not yield it.  Under sides where that slack is
     negative or below that of [], the walk does not settle and yields every
     subset.  stab(Sigma(A)) is a function of Sigma(A) alone, so it is
     computed once per distinct Sigma mask.  Reports and literals are built
     only for the failing subsets and for the witness.
+
+    Orbits: an automorphism phi maps Sigma(B) to phi(Sigma(B)) and stab to
+    phi(stab), so B and phi(B) have the same terms and slack.  The walk is
+    orderly under the maps of `groups._automorphism_images`, which fix 0
+    and so map G \\ {0} onto itself: it yields only the canonical B.
+    - The witness is canonical: the lex-first set with the least slack is,
+      since its whole orbit has that slack.
+    - Failures are orbit-invariant: a set fails only if some canonical set
+      fails.  So if no canonical node fails, none fails; if one does, the
+      plain walk runs again and lists every failure in mask order.
+    `instances` is 2^|G| either way, by arithmetic: neither settled nor
+    non-canonical subsets are yielded.
+
+    `main` cannot fail below order 66.  Each a in A is a subset sum and
+    H ⊆ Sigma, so A \\ H ⊆ Sigma \\ H, and k = |A \\ H| <= s = |Sigma| - |H|.
+    Then 64s - k^2 >= s(64 - s) >= 0 whenever s <= 64, and s <= |G| - 1.
+    So under `EXHAUSTIVE_SUBSET_CAP` the fallback runs only for sides
+    other than the paper's, such as a test's tightened ones.
     """
     t0 = time.perf_counter()
     sides = main_sides if theorem == "main" else corollary_sides
@@ -252,30 +283,28 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
         lhs, rhs = sides(*terms)
         return lhs - rhs
 
-    least = slack(1, 1, 0)  # [] has Sigma = H = {0}
-    full_slack = slack(n, n, 0)
-    settled = Settled() if full_slack >= max(least, 0) else None
+    empty = slack(1, 1, 0)  # [] has Sigma = H = {0}
+    settle = slack(n, n, 0) >= max(empty, 0)
     terms = {}  # Sigma mask -> (|Sigma|, H mask, |H|), H = stab(Sigma)
-    failing = []
-    count = 0
-    best = None  # the first node whose slack is below that of []
-    for mask, sigma in subset_walk(group, range(1, n), settled=settled):
-        count += 1
-        t = terms.get(sigma)
-        if t is None:
-            size = sigma.bit_count()
-            h = _stabilizer_mask(group, sigma, size)
-            t = terms[sigma] = (size, h, h.bit_count())
-        sigma_size, h_mask, h_size = t
-        outside = (mask & ~h_mask).bit_count()
-        lhs, rhs = sides(sigma_size, h_size, outside)
-        s = lhs - rhs
-        if s < 0:
-            failing.append((mask, sigma_size, h_size, outside))
-        if s < least:
-            least, best = s, mask
-    if settled is not None:
-        count += settled.instances
+    # one subset per orbit; on a failure, every subset, to list them all
+    for images in (_automorphism_images(group), None):
+        least, best, failing = empty, None, []  # best: first node below []
+        for mask, sigma in subset_walk(group, range(1, n), settle=settle, images=images):
+            t = terms.get(sigma)
+            if t is None:
+                size = sigma.bit_count()
+                h = _stabilizer_mask(group, sigma, size)
+                t = terms[sigma] = (size, h, h.bit_count())
+            sigma_size, h_mask, h_size = t
+            outside = (mask & ~h_mask).bit_count()
+            lhs, rhs = sides(sigma_size, h_size, outside)
+            s = lhs - rhs
+            if s < 0:
+                failing.append((mask, sigma_size, h_size, outside))
+            if s < least:
+                least, best = s, mask
+        if not failing:
+            break
     counterexamples = [
         {
             "set": GroupSet(group, m).literal(),
@@ -286,7 +315,7 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
     ]
     witness = 0 if best is None else best | 1
     return _run(
-        t0, 2 * count, counterexamples, least, GroupSet(group, witness).literal(),
+        t0, 1 << n, counterexamples, least, GroupSet(group, witness).literal(),
         theorem=theorem, group=group.spec(), mode="exhaustive",
     )
 
@@ -647,7 +676,7 @@ def extremal_search(
             raise CapacityError(
                 f"C({len(nonzero)}, {k}) exceeds enumeration cap {SEARCH_ENUM_CAP}"
             )
-        walk = subset_walk(group, nonzero, k, Settled())
+        walk = subset_walk(group, nonzero, k, settle=True)
         for mask, sigma in walk:
             size = sigma.bit_count()
             need = k - mask.bit_count()

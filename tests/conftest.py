@@ -126,6 +126,16 @@ def naive_coset_profile(group, members, terms):
     return tuple(sum(v >= j for v in counts.values()) for j in range(1, top + 1))
 
 
+def naive_canonical(images, members):
+    """Whether the sorted `members` are the lex-least of their images.
+
+    Each image is the sorted list of t[x] for x in `members`, for an index
+    table t in `images`; the identity is implicit.
+    """
+    members = sorted(members)
+    return all(members <= sorted(t[x] for x in members) for t in images)
+
+
 def naive_mask(group, items):
     """Bitmap of ints and `Element`s, one OR per item and no checks."""
     mask = 0

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmaforge import (
     GroupMismatchError,
@@ -100,6 +101,25 @@ def test_main_bound_exhaustive_z12():
         slack = rep.context["slack"]
         min_slack = slack if min_slack is None else min(min_slack, slack)
     assert min_slack >= 0
+
+
+@given(
+    st.sampled_from([(7,), (16,), (30,), (64,), (97,), (4, 4), (2, 12), (3, 3, 3), (2,) * 6]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_main_cannot_fail_below_order_66(factors, data):
+    # A \ H lies in Sigma \ H, so k <= s; then 64s - k^2 >= s(64 - s) >= 0
+    # for s <= 64, which holds on every group of order 65 or less
+    g = make_group(factors)
+    A = gset(g, data.draw(st.sets(st.integers(0, g.order - 1))))
+    sigma = subset_sums(A)
+    H = stabilizer(sigma)
+    k = (A.mask & ~H.mask).bit_count()
+    s = sigma.card - len(H)
+    assert k <= s
+    if s <= 64:
+        assert main_bound_check(A).holds
 
 
 def test_sequence_bound_inside_h_and_random():

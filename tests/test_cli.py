@@ -242,7 +242,7 @@ def test_search_exhaustive_rejects_seed_and_restarts_exit_2(capsys):
 
 
 def test_verify_capacity_exit_2(capsys):
-    code, _, err = run(capsys, "verify", "main", "--group", "Z31")
+    code, _, err = run(capsys, "verify", "main", "--group", "Z33")
     assert code == 2
     assert "cap" in err
 

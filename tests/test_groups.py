@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,7 +20,12 @@ from sigmaforge import (
     quotient,
     zero,
 )
-from sigmaforge.groups import _iter_bits, _torsion_mask, parse_index
+from sigmaforge.groups import (
+    _automorphism_images,
+    _iter_bits,
+    _torsion_mask,
+    parse_index,
+)
 from conftest import naive_closure, naive_literal, naive_mask, naive_quotient
 
 
@@ -346,6 +352,32 @@ def test_torsion_mask_matches_multiples_oracle(factors):
                 y = g.add_index(y, x)
             want |= (y == 0) << x
         assert _torsion_mask(g, d) == want, d
+
+
+# every abelian group of order <= 24, in invariant factors, and other
+# presentations, some with factors of 1 (which the maps leave fixed: 13!
+# permutations of every digit would take hours)
+ORDER_24_GROUPS = [(n,) for n in range(1, 25)] + [
+    (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (4, 4), (2, 8), (2, 2, 4),
+    (2, 2, 2, 2), (3, 6), (2, 10), (2, 12), (2, 2, 6), (2, 3), (2, 3, 2), (3, 2, 4),
+    (1, 1), (1, 3, 1, 3), (2, 1, 2, 1, 4), (1,) * 12 + (2,), (1,) * 12 + (3,),
+]
+
+
+@pytest.mark.parametrize("factors", ORDER_24_GROUPS)
+def test_automorphism_images_are_automorphisms(factors):
+    g = make_group(factors)
+    images = _automorphism_images(g)
+    every = tuple(range(g.order))
+    for t in images:
+        assert sorted(t) == list(every) and t[0] == 0
+        assert all(
+            t[g.add_index(x, y)] == g.add_index(t[x], t[y]) for x in every for y in every
+        )
+    assert len(set(images)) == len(images) and every not in images
+    units = math.prod(sum(math.gcd(u, n) == 1 for u in range(n)) for n in factors)
+    perms = math.prod(math.factorial(factors.count(n)) for n in set(factors) - {1})
+    assert len(images) == units * perms - 1
 
 
 def test_capacity_cap(monkeypatch):

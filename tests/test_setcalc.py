@@ -33,10 +33,11 @@ from sigmaforge import (
     sumset,
 )
 from sigmaforge import groups, setcalc
-from sigmaforge.groups import _shift_mask
-from sigmaforge.setcalc import Settled, subset_walk
+from sigmaforge.groups import _automorphism_images, _shift_mask
+from sigmaforge.setcalc import subset_walk
 from conftest import (
     count_work,
+    naive_canonical,
     naive_coset_profile,
     naive_stab,
     naive_subseq_sigma,
@@ -335,18 +336,16 @@ def test_settling_walk_matches_oracle(factors, data):
     def full(c):
         return len(naive_sigma(g, c)) == g.order
 
-    settled = Settled()
-    walked = list(subset_walk(g, elems, size, settled))
+    walked = list(subset_walk(g, elems, size, settle=True))
     # a node is yielded iff its Sigma is not G, in lex order; every node
     # below a full-Sigma node is full too, so the settled subtrees hold
     # exactly the full-Sigma nodes
     assert [m for m, _ in walked] == [_mask(c) for c in nodes if not full(c)]
     assert all(GroupSet(g, s).members() == naive_sigma(g, GroupSet(g, m).members())
                for m, s in walked)
-    # yielded instances plus settled ones cover every instance exactly once
-    assert settled.instances == sum(map(full, instances))
+    # the yielded instances and the full-Sigma ones cover every instance once
     walked_instances = sum(size is None or m.bit_count() == size for m, _ in walked)
-    assert walked_instances + settled.instances == len(instances)
+    assert walked_instances + sum(map(full, instances)) == len(instances)
 
 
 @given(st.sampled_from(WALK_GROUPS), st.data())
@@ -355,31 +354,54 @@ def test_settling_walk_skips_exactly_the_sent_subtrees(factors, data):
     g = make_group(factors)
     elems = data.draw(st.lists(st.integers(0, g.order - 1), unique=True, max_size=8))
     size = data.draw(st.none() | st.integers(0, len(elems)))
-    nodes = list(subset_walk(g, elems, size, Settled()))
+    nodes = list(subset_walk(g, elems, size, settle=True))
     skip = data.draw(st.sets(st.sampled_from([m for m, _ in nodes])))
-    settled = Settled()
-    walk = subset_walk(g, elems, size, settled)
+    walk = subset_walk(g, elems, size, settle=True)
     seen = []
     for mask, sigma in walk:
         seen.append((mask, sigma))
         if mask in skip:
             assert walk.send(True) is None
     assert seen == [(m, s) for m, s in nodes if not any(_below(m, b) for b in skip)]
-    # a skipped subtree's full-Sigma nodes are neither walked nor settled
-    _, instances = _walk_oracle(g, elems, size)
-    assert settled.instances == sum(
-        len(naive_sigma(g, c)) == g.order
-        and not any(_below(_mask(c), b) or _mask(c) == b for b in skip)
-        for c in instances
-    )
+
+
+ORBIT_GROUPS = [(2,), (6,), (8,), (2, 3), (6, 2), (3, 3), (2, 4), (2, 2, 2), (2, 3, 2)]
+
+
+@given(st.sampled_from(ORBIT_GROUPS), st.booleans(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_orderly_walk_yields_exactly_the_canonical_subsets(factors, settling, data):
+    g = make_group(factors)
+    images = _automorphism_images(g)
+    elems = data.draw(st.lists(st.integers(0, g.order - 1), unique=True, max_size=8))
+    size = data.draw(st.none() | st.integers(0, len(elems)))
+    nodes, _ = _walk_oracle(g, elems, size)
+
+    def full(c):
+        return len(naive_sigma(g, c)) == g.order
+
+    # the canonical nodes in lex order, less the full ones a settling walk
+    # settles; the skips are drawn from those
+    walked = [
+        _mask(c) for c in nodes
+        if naive_canonical(images, c) and not (settling and full(c))
+    ]
+    skip = data.draw(st.sets(st.sampled_from(walked)))
+    walk = subset_walk(g, elems, size, settling, images)
+    seen = []
+    for mask, sigma in walk:
+        seen.append(mask)
+        assert GroupSet(g, sigma).members() == naive_sigma(g, GroupSet(g, mask).members())
+        if mask in skip:
+            assert walk.send(True) is None
+    assert seen == [m for m in walked if not any(_below(m, b) for b in skip)]
 
 
 def test_settling_walk_settles_a_full_root():
     g = make_group([1])
-    for size, instances in ((None, 2), (0, 1), (1, 1)):
-        settled = Settled()
-        assert list(subset_walk(g, [0], size, settled)) == []
-        assert settled.instances == instances
+    for size, nodes in ((None, [(0, 1), (1, 1)]), (0, [(0, 1)]), (1, [(0, 1), (1, 1)])):
+        assert list(subset_walk(g, [0], size)) == nodes
+        assert list(subset_walk(g, [0], size, settle=True)) == []
 
 
 def test_subset_walk_skipping_the_root_ends_it():
@@ -403,8 +425,7 @@ def test_walk_sigmas_match_naive_sigma(factors, settling, data):
     g = make_group(factors)
     elems = data.draw(st.lists(st.integers(0, g.order - 1), unique=True, max_size=7))
     size = data.draw(st.none() | st.integers(0, len(elems)))
-    settled = Settled() if settling else None
-    nodes = list(subset_walk(g, elems, size, settled))
+    nodes = list(subset_walk(g, elems, size, settling))
     assert nodes or (settling and g.order == 1)
     for mask, sigma in nodes:
         assert GroupSet(g, sigma).members() == naive_sigma(g, GroupSet(g, mask).members())

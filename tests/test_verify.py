@@ -67,8 +67,10 @@ def test_exhaustive_kneser_pairs():
 
 
 def test_exhaustive_capacity():
+    run = exhaustive_theorem(parse_group("Z2xZ2xZ2xZ2xZ2"), "main")  # at the cap
+    assert run.stats["instances"] == 1 << 32
     with pytest.raises(CapacityError):
-        exhaustive_theorem(make_group([31]), "main")
+        exhaustive_theorem(make_group([33]), "main")
     with pytest.raises(CapacityError):
         exhaustive_theorem(make_group([9]), "kneser-pairs")
 
@@ -100,20 +102,54 @@ def test_exhaustive_counterexamples_match_loop(theorem, spec, monkeypatch):
     assert run.to_json() == exhaustive_loop(g, theorem).to_json()
 
 
-def test_exhaustive_walk_settles_full_sigma_subtrees(monkeypatch):
+# every abelian group of order <= 12, in invariant factors, and
+# presentations that are not, some with factors of 1
+ORDER_12_GROUPS = [f"Z{n}" for n in range(1, 13)] + [
+    "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3", "Z2xZ6", "Z2xZ3", "Z2xZ3xZ2",
+    "Z1xZ3xZ1xZ3", "Z1x" * 12 + "Z2",
+]
+
+
+@pytest.mark.parametrize("spec", ORDER_12_GROUPS)
+@pytest.mark.parametrize("tightened", [False, True])
+@pytest.mark.parametrize("theorem", ["main", "corollary"])
+def test_orbit_walk_matches_loop(theorem, tightened, spec, monkeypatch):
+    # the paper's sides never fail here, so the orbit walk answers alone;
+    # the tightened ones fail on some subsets, so the plain walk reruns
+    if tightened:
+        name = f"{theorem}_sides"
+        for module in (bounds, verify):
+            monkeypatch.setattr(module, name, TIGHTENED[name])
+    g = parse_group(spec)
+    run = exhaustive_theorem(g, theorem)
+    assert bool(run.counterexamples) == (tightened and g.order > 1)
+    assert run.to_json() == exhaustive_loop(g, theorem).to_json()
+
+
+def test_exhaustive_walk_settles_full_sigma_subtrees():
+    g = make_group([16])
+    plain = list(subset_walk(g, range(1, 16)))
+    walk = CountedWalk(subset_walk(g, range(1, 16), settle=True))
+    assert list(walk) == [(m, s) for m, s in plain if s != g.full_mask]
+    assert walk.nodes == 2_968
+    # the settled subtrees hold exactly the full-Sigma subsets of G \ {0},
+    # each standing for itself and its union with {0}
+    settled = sum(s == g.full_mask for _, s in plain)
+    assert 2 * (walk.nodes + settled) == 1 << 16
+
+
+def test_exhaustive_main_walks_one_subset_per_orbit(monkeypatch):
     walks = []
 
-    def counted(*args, settled=None):
-        walks.append((CountedWalk(subset_walk(*args, settled=settled)), settled))
-        return walks[-1][0]
+    def counted(*args, **kwargs):
+        walks.append(CountedWalk(subset_walk(*args, **kwargs)))
+        return walks[-1]
 
     monkeypatch.setattr(verify, "subset_walk", counted)
     run = exhaustive_theorem(make_group([16]), "main")
+    [walk] = walks
+    assert walk.nodes == 443
     assert run.stats["instances"] == 1 << 16
-    [(walk, settled)] = walks
-    assert walk.nodes == 2_968
-    # the subsets of G \ {0}, each standing for itself and its union with {0}
-    assert 2 * (walk.nodes + settled.instances) == 1 << 16
 
 
 def test_random_kneser_runs_clean():
