@@ -151,14 +151,26 @@ def classify_cosets(S: GroupSet, H: Subgroup, u: int):
 
 
 def _classify(S: GroupSet, q, u: int):
-    """`classify_cosets` over the cosets of the quotient map `q`."""
+    """`classify_cosets` over the cosets of the quotient map `q`.
+
+    S is peeled one coset at a time: the coset of its least member x left
+    is x + H, one rotation of H.  The H-cosets partition G, so the peel
+    meets each coset S meets exactly once; a coset S misses has |Q & S| = 0
+    and |Q \\ S| = |H|, so it is empty with deficiency 0.
+    """
     if u < 0:
         raise ValueError("u must be nonnegative")
+    h, size = q.subgroup.mask, q.subgroup.card
+    meets = [0] * q.num_cosets
+    rest = S.mask
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        coset = _shift_mask(S.group, h, x)
+        meets[q.project(x)] = (coset & rest).bit_count()
+        rest &= ~coset
     out = []
-    for c in range(q.num_cosets):
-        qmask = q.coset_mask(c)
-        inter = (qmask & S.mask).bit_count()
-        diff = (qmask & ~S.mask).bit_count()
+    for c, inter in enumerate(meets):
+        diff = size - inter
         df = min(inter, diff)
         if inter == 0:
             label, amb = "empty", False

@@ -67,7 +67,7 @@ class Group:
     __slots__ = ("factors", "order", "strides", "full_mask", "_digits")
 
     def __init__(self, factors):
-        factors = tuple(int(n) for n in factors)
+        factors = tuple(map(operator.index, factors))
         if not factors or any(n < 1 for n in factors):
             raise InvalidGroupError(f"invalid invariant factors: {factors!r}")
         order = 1
@@ -543,16 +543,15 @@ class Quotient:
     are dropped; the trivial quotient is Z1.
     """
 
-    __slots__ = ("group", "subgroup", "quotient_group", "_columns", "_rows")
+    __slots__ = ("group", "subgroup", "quotient_group", "_columns")
 
-    def __init__(self, group, subgroup, diag, q, q_inv):
+    def __init__(self, group, subgroup, diag, q):
         self.group = group
         self.subgroup = subgroup
         kept = [t for t, d in enumerate(diag) if d > 1] or [len(diag) - 1]
         self.quotient_group = Group(diag[t] for t in kept)
-        # column t of Q and row t of Q^-1 for each factor d_t of G/H
+        # column t of Q for each factor d_t of G/H
         self._columns = [[row[t] for row in q] for t in kept]
-        self._rows = [q_inv[t] for t in kept]
 
     @property
     def num_cosets(self):
@@ -565,18 +564,6 @@ class Quotient:
             sum(a * b for a, b in zip(x, col)) % d
             for col, d in zip(self._columns, qg.factors)
         )
-
-    def lift(self, c: int) -> int:
-        """Index in G of a representative of coset c; `project(lift(c)) == c`."""
-        y = self.quotient_group.decode(c)
-        return self.group.encode(
-            sum(a * row[j] for a, row in zip(y, self._rows)) % n
-            for j, n in enumerate(self.group.factors)
-        )
-
-    def coset_mask(self, c: int) -> int:
-        """Bitmap (in the ambient group) of the members of coset c."""
-        return _shift_mask(self.group, self.subgroup.mask, self.lift(c))
 
 
 def _as_subgroup(group: Group, H: GroupSet) -> Subgroup:
@@ -614,12 +601,11 @@ def quotient(group: Group, H: GroupSet) -> Quotient:
 def _smith(m):
     """Smith form of the nonsingular square matrix m (modified in place).
 
-    Returns (d, Q, Q^-1): d_1 | d_2 | ... > 0 and unimodular Q with
+    Returns (d, Q): d_1 | d_2 | ... > 0 and unimodular Q with
     U·m·Q = diag(d) for some unimodular U, which is never formed.
     """
     k = len(m)
     q = [[int(i == j) for j in range(k)] for i in range(k)]
-    q_inv = [row[:] for row in q]
     for t in range(k):
         while True:
             # move the least nonzero |entry| of the trailing block to (t, t)
@@ -632,7 +618,6 @@ def _smith(m):
             m[t], m[i] = m[i], m[t]
             for row in m + q:
                 row[t], row[j] = row[j], row[t]
-            q_inv[t], q_inv[j] = q_inv[j], q_inv[t]
             p = m[t][t]
             # reduce column t by row operations and row t by column operations
             for i in range(t + 1, k):
@@ -642,14 +627,13 @@ def _smith(m):
                 if f := m[t][j] // p:
                     for row in m + q:
                         row[j] -= f * row[t]
-                    q_inv[t] = [a + f * b for a, b in zip(q_inv[t], q_inv[j])]
             if any(m[i][t] for i in range(t + 1, k)) or any(m[t][t + 1 :]):
                 continue  # a remainder is the next, smaller pivot
             bad = next((r for r in m[t + 1 :] if any(a % p for a in r)), None)
             if bad is None:
                 break
             m[t] = [a + b for a, b in zip(m[t], bad)]  # until d_t divides bad
-    return [abs(m[t][t]) for t in range(k)], q, q_inv
+    return [abs(m[t][t]) for t in range(k)], q
 
 
 # -- text formats ----------------------------------------------------------

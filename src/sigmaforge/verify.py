@@ -43,7 +43,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, zip_longest
 
 from .groups import (
     CapacityError,
@@ -62,7 +62,6 @@ from .setcalc import (
 )
 from .bounds import (
     _canonical_json,
-    _subset_terms,
     corollary_sides,
     kneser_bound,
     main_sides,
@@ -336,23 +335,11 @@ def _kneser_text(inst):
 def _text_lt(xs, ys) -> bool:
     """`"".join(xs) < "".join(ys)`, reading both only up to the first difference.
 
-    Equal-length pieces compare as their characters do, and a text that is
-    a prefix of the other sorts first, as `str` comparison does.
+    The empty fill sorts a text that is a prefix of the other first, as
+    `str` comparison does.
     """
-    x = y = ""
-    while True:
-        if not x:
-            x = next(xs, None)
-            if x is None:
-                return bool(y) or any(ys)
-        if not y:
-            y = next(ys, None)
-            if y is None:
-                return False
-        n = min(len(x), len(y))
-        if x[:n] != y[:n]:
-            return x[:n] < y[:n]
-        x, y = x[n:], y[n:]
+    pairs = zip_longest(chain.from_iterable(xs), chain.from_iterable(ys), fillvalue="")
+    return next((a < b for a, b in pairs if a != b), False)
 
 
 class _KneserKey:
@@ -380,6 +367,8 @@ def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     groups = list(groups)
+    if not groups:
+        raise ValueError("random_kneser needs at least one group")
 
     def instances():
         rng = random.Random(seed)
@@ -716,11 +705,10 @@ def extremal_search(
 
     fields = {}
     if best is not None:
-        A = GroupSet(group, best[1])
-        sigma_size, stab_size, outside = _subset_terms(A)
+        # best is feasible, so H = {0}, and A lies in G \ {0}, so |A \ H| = k
         fields = dict(
-            best_set=A.literal(), sigma_size=sigma_size, stabilizer_size=stab_size,
-            ratio_num=4 * (sigma_size - stab_size), ratio_den=outside * outside,
+            best_set=GroupSet(group, best[1]).literal(), sigma_size=best[0],
+            stabilizer_size=1, ratio_num=4 * (best[0] - 1), ratio_den=k * k,
         )
     return ExtremalRecord(
         group=group.spec(), k=k, mode=mode, feasible=best is not None,

@@ -5,7 +5,8 @@ The `naive_*` oracles are kept independent of the bitmap kernels.  The
 `subset_sums` and formatting every report, so they pin the output of the
 subset walk's clients and of the incremental hill-climb in `verify` byte
 for byte.  `count_work` counts rotations and element additions for the
-work-budget tests, and `CountedWalk` the nodes a subset walk yields.
+work-budget tests, `count_calls` the calls of any library function, and
+`CountedWalk` the nodes a subset walk yields.
 """
 
 from __future__ import annotations
@@ -357,6 +358,14 @@ class CountedWalk:
         return self.walk.send(value)
 
 
+def _patch_everywhere(monkeypatch, real, replacement):
+    """Bind `replacement` under every name that binds `real` in a `sigmaforge` module."""
+    for module in (sigmaforge, groups, setcalc, bounds, construct, verify, cli):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, replacement)
+
+
 def count_work(monkeypatch):
     """Count `_shift_mask` calls and `add_index` calls.
 
@@ -376,9 +385,20 @@ def count_work(monkeypatch):
         calls["additions"] += 1
         return add_index(group, i, j)
 
-    for module in (sigmaforge, groups, setcalc, bounds, construct, verify, cli):
-        for name, value in list(vars(module).items()):
-            if value is shift_mask:
-                monkeypatch.setattr(module, name, rotating)
+    _patch_everywhere(monkeypatch, shift_mask, rotating)
     monkeypatch.setattr(groups.Group, "add_index", adding)
+    return calls
+
+
+def count_calls(monkeypatch, *functions):
+    """Count calls of each function, replaced as `count_work` replaces
+    `_shift_mask`.  Returns the live counts keyed by function name."""
+    calls = dict.fromkeys((f.__name__ for f in functions), 0)
+    for f in functions:
+
+        def counting(*args, _f=f, **kwargs):
+            calls[_f.__name__] += 1
+            return _f(*args, **kwargs)
+
+        _patch_everywhere(monkeypatch, f, counting)
     return calls

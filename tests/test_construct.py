@@ -6,6 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sigmaforge import (
     CapacityError,
+    CosetClass,
+    DenseGraph,
+    Element,
     GenerationError,
     GroupMismatchError,
     GroupSet,
@@ -19,6 +22,7 @@ from sigmaforge import (
     parse_group,
     quotient,
     stabilizer,
+    Subgroup,
     subset_sums,
     witness_easy,
     witness_hard,
@@ -183,6 +187,67 @@ def test_classify_overlap_flagged_for_small_cosets():
     classes = {cc.coset: cc for cc in classify_cosets(S, H, 16)}
     amb = [cc for cc in classes.values() if cc.ambiguous]
     assert amb and all(cc.label == "dense" for cc in amb)
+
+
+def coset_oracle(S, H, u):
+    """`classify_cosets` by projecting every element of G and counting S."""
+    g, q = S.group, quotient(S.group, H)
+    inter, size = [0] * q.num_cosets, [0] * q.num_cosets
+    for i in range(g.order):
+        c = q.project(i)
+        size[c] += 1
+        inter[c] += i in S
+    out = []
+    for c in range(q.num_cosets):
+        diff = size[c] - inter[c]
+        sparse = 0 < 4 * inter[c] < u + 1
+        dense = inter[c] > 0 and 4 * diff < u + 1
+        label = ("empty" if not inter[c] else "dense" if dense
+                 else "sparse" if sparse else "balanced")
+        out.append(CosetClass(c, label, inter[c], min(inter[c], diff), dense and sparse))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(12,), (16,), (30,), (4, 6), (2, 2, 4), (3, 3), (2, 4, 8)]),
+    st.data(),
+)
+def test_classify_and_dense_graph_match_projection_oracle(factors, data):
+    g = make_group(factors)
+    kind = data.draw(st.sampled_from(["generated", "trivial", "full"]))
+    if kind == "trivial":
+        H = Subgroup.trivial(g)
+    elif kind == "full":
+        H = Subgroup.full(g)
+    else:
+        gens = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=2))
+        H = generated_subgroup(g, gset(g, gens))
+    S = gset(g, data.draw(st.sets(st.integers(0, g.order - 1))))
+    h = len(H)
+    u = data.draw(st.one_of(st.integers(0, 4 * h - 1), st.integers(4 * h, 8 * h + 4)))
+    classes = coset_oracle(S, H, u)
+    assert classify_cosets(S, H, u) == classes
+    b = data.draw(st.integers(0, g.order - 1))
+    q = quotient(g, H)
+    W = tuple(cc.coset for cc in classes if cc.label == "dense")
+    heads = {c: q.quotient_group.add_index(c, q.project(b)) for c in W}
+    arcs = tuple((c, heads[c]) for c in W if heads[c] in W)
+    expected = DenseGraph(W, arcs, construct._graph_shape(W, arcs))
+    assert dense_graph(Element(g, b), S, H, u) == expected
+
+
+def test_classify_rotates_once_per_coset_met(monkeypatch):
+    g = make_group([4096])
+    H = Subgroup.trivial(g)
+    S = gset(g, [5, 700, 4000])
+    calls = count_work(monkeypatch)
+    classes = classify_cosets(S, H, 3)
+    assert calls["rotations"] <= 3
+    assert len(classes) == 4096
+    q = quotient(g, H)
+    met = {q.project(x) for x in (5, 700, 4000)}
+    assert {cc.coset for cc in classes if cc.label != "empty"} == met
 
 
 # -- dense Cayley subgraph -------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sigmaforge import (
     Element,
+    Group,
     GroupMismatchError,
     GroupSet,
     InvalidGroupError,
@@ -42,6 +43,14 @@ def test_make_group_rejects_bad_factors():
         make_group([0])
     with pytest.raises(InvalidGroupError):
         make_group([4, 0, 3])
+
+
+def test_group_factors_are_exact_integers():
+    with pytest.raises(TypeError):
+        make_group([2.5])
+    with pytest.raises(TypeError):
+        Group(["6"])
+    assert Group((6, 2)).factors == (6, 2)
 
 
 def test_cyclic_addition():
@@ -206,10 +215,7 @@ def test_quotient_examples():
     assert quotient(g, full).num_cosets == 1
     h = Subgroup.from_indices(g, [0, 3])
     q = quotient(g, h)
-    cosets = [
-        sorted(i for i in range(6) if q.coset_mask(c) >> i & 1)
-        for c in range(q.num_cosets)
-    ]
+    cosets = [[i for i in range(6) if q.project(i) == c] for c in range(q.num_cosets)]
     assert cosets == [[0, 3], [1, 4], [2, 5]]
     triv = Subgroup.trivial(g)
     assert quotient(g, triv).num_cosets == 6
@@ -256,7 +262,7 @@ def test_quotient_cosets_have_subgroup_size():
     h = generated_subgroup(g, GroupSet.from_indices(g, [4]))
     q = quotient(g, h)
     for c in range(q.num_cosets):
-        assert q.coset_mask(c).bit_count() == len(h)
+        assert sum(q.project(i) == c for i in range(g.order)) == len(h)
 
 
 def test_quotient_group_arithmetic():
@@ -288,10 +294,9 @@ def test_quotient_matches_coset_oracle(factors, data):
     coset_of, reps = naive_quotient(g, H.members())
     assert len(set(zip(coset_of, proj))) == len(reps) == qg.order
     for c in range(qg.order):
-        rep = q.lift(c)
-        assert proj[rep] == c
-        oracle = sum(1 << i for i in range(g.order) if coset_of[i] == coset_of[rep])
-        assert q.coset_mask(c) == oracle
+        coset = [i for i in range(g.order) if proj[i] == c]
+        assert coset  # project is onto
+        assert coset == [i for i in range(g.order) if coset_of[i] == coset_of[coset[0]]]
     assert parse_group(qg.spec()) == qg
 
 

@@ -22,6 +22,8 @@ from sigmaforge import (
     parse_group,
     random_kneser,
     random_sequence_theorem,
+    stabilizer,
+    subset_sums,
     verify,
     vu_check,
 )
@@ -31,6 +33,7 @@ import conftest
 from conftest import (
     CountedWalk,
     completeness_loop,
+    count_calls,
     exhaustive_loop,
     hillclimb_loop,
     kneser_loop,
@@ -170,6 +173,11 @@ def test_random_sequence_theorem():
 def test_random_kneser_requires_a_seed():
     with pytest.raises(ValueError, match="seed"):
         random_kneser([make_group([64])], 1, 1, None)
+
+
+def test_random_kneser_needs_a_group():
+    with pytest.raises(ValueError, match="at least one group"):
+        random_kneser([], 1, 1, 0)
 
 
 def test_random_sequence_theorem_requires_a_seed():
@@ -570,6 +578,18 @@ def test_extremal_search_infeasible():
     assert not rec.feasible
     rec = extremal_search(g, 2, mode="hillclimb", seed=1, restarts=2)
     assert not rec.feasible and rec.best_set is None
+
+
+def test_search_record_needs_no_stabilizer_or_subset_sums(monkeypatch):
+    # the best set is feasible, so its record follows from (|Sigma|, mask)
+    calls = count_calls(monkeypatch, stabilizer, subset_sums)
+    g = make_group([13])
+    exact = extremal_search(g, 3)
+    assert exact.feasible and exact.stabilizer_size == 1
+    assert calls == {"stabilizer": 0, "subset_sums": 0}
+    climbed = extremal_search(g, 3, mode="hillclimb", seed=4, restarts=2)
+    assert climbed.feasible and climbed.ratio_den == 9
+    assert calls["stabilizer"] == 0
 
 
 def test_extremal_search_requires_seed_for_hillclimb():
