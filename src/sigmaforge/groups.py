@@ -163,9 +163,16 @@ def _shift_mask(group: Group, mask: int, g: int) -> int:
     by `down`.  For block starts u (bits one block apart) and x < block,
     (u << x) - u = (2^x - 1)·u has exactly the low x positions of every
     block set, and no carry crosses a block.
+
+    On Z_n (one invariant factor) the one block is the whole group, so bit
+    i moves to i + g when i < n - g and to i + g - n otherwise: the
+    rotation is `((mask << g) & full) | (mask >> (n - g))`, two shifts
+    with no kept mask.
     """
     if g == 0 or mask == 0:
         return mask
+    if len(group.factors) == 1:
+        return ((mask << g) & group.full_mask) | (mask >> (group.order - g))
     for n, stride, unit in group._digits:
         if s := g // stride % n:
             up = s * stride

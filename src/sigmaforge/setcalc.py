@@ -127,12 +127,22 @@ def subset_sums(A: GroupSet) -> GroupSet:
 
     The members are peeled off lowest bit first inline, not through
     `_iter_bits`: no generator frame per member, and the fold stops as soon
-    as S is the whole group.
+    as S is the whole group.  On Z_n (one invariant factor) the translate
+    S + a is taken inline by two shifts, as `_shift_mask` proves, with no
+    call per member.
     """
     g = A.group
     full = g.full_mask
     s = 1
     rest = A.mask
+    if len(g.factors) == 1:
+        n = g.order
+        while rest and s != full:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            s |= ((s << a) & full) | (s >> (n - a))
+            rest ^= low
+        return GroupSet(g, s)
     while rest and s != full:
         low = rest & -rest
         s |= _shift_mask(g, s, low.bit_length() - 1)

@@ -175,8 +175,10 @@ def test_golden_digest_with_counterexamples(name, monkeypatch):
 # SHA-256 digests of `cli.main` stdout, byte for byte, for the outputs the
 # interactive commands print most: a `sigma` answer whose Sigma is the
 # whole group (its stabilizer is G too), a Sigma that is a proper subgroup,
-# a stabilizer other than Sigma, and greedy and exact `construct` runs.
-# The operand sets are seeded draws, so each case is its own argv.
+# a stabilizer other than Sigma, Sigmas whose sums wrap past the top
+# index (a cyclic and a product group), the trivial group Z1, and greedy
+# and exact `construct` runs.  The operand sets are seeded draws or fixed
+# literals, so each case is its own argv.
 
 
 def _drawn_set(spec: str, k: int, seed: int) -> str:
@@ -215,6 +217,20 @@ CLI_CASES = {
     "sigma-full-Z64xZ64-text": (
         ["sigma", "--group", "Z64xZ64", "--set", _drawn_set("Z64xZ64", 40, 3)],
         "547892c7b975a7e85f6849a36a73e7ea063d2a1a0d385f0d394b3088f4414dd2",
+    ),
+    "sigma-wrap-Z4096": (
+        ["sigma", "--group", "Z4096", "--set", "4000;4090;3900;2100;4095;3000",
+         "--json"],
+        "e98d5dc778d61f3e55ba31cc8c1a8cf8bb05b938fd53eabd5e4701a09da0c32f",
+    ),
+    "sigma-wrap-Z2xZ2048": (
+        ["sigma", "--group", "Z2xZ2048", "--set", "1,2000;0,2040;1,1999;0,2047",
+         "--json"],
+        "560d37f91fa7e4734fbeab5bf154a33adba7f2ba71cdfa2a8aedc9f33272bad6",
+    ),
+    "sigma-Z1": (
+        ["sigma", "--group", "Z1", "--set", "0", "--json"],
+        "92735de2e7374788f47fc0fe3e5fc18d16a31d09bec2eb12f23840fcb29082fd",
     ),
     "sigma-subgroup-Z12": (
         ["sigma", "--group", "Z12", "--set", "4;8", "--json"],

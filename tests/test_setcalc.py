@@ -7,7 +7,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sigmaforge import (
     Element,
@@ -36,6 +36,7 @@ from sigmaforge import groups, setcalc
 from sigmaforge.groups import _automorphism_images, _shift_mask
 from sigmaforge.setcalc import subset_walk
 from conftest import (
+    count_calls,
     count_work,
     naive_canonical,
     naive_coset_profile,
@@ -149,7 +150,8 @@ def test_sumset_matches_oracle(factors, data):
 
 @given(
     st.sampled_from(
-        [(1,), (7,), (64,), (2,) * 5, (4, 8), (6, 4), (2, 4, 8), (3, 3, 2)]
+        [(1,), (7,), (19,), (64,), (73,), (2,) * 5, (4, 8), (6, 4), (2, 4, 8),
+         (3, 3, 2)]
     ),
     st.data(),
 )
@@ -217,12 +219,39 @@ def test_sigma_examples():
     assert subset_sums(gset(g8, [2, 4])).members() == [0, 2, 4, 6]
 
 
-@given(st.integers(2, 16), st.sets(st.integers(0, 15), max_size=8))
-@settings(max_examples=60)
-def test_sigma_matches_oracle(n, elems):
+@given(st.integers(1, 80).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
+))
+@example((1, 1))  # Z1: S = G before any member is folded
+@example((80, (1 << 80) - 1))  # the whole group
+@example((73, 1 | 1 << 72))  # 0 and n - 1, the largest wrap
+@settings(max_examples=150)
+def test_sigma_matches_oracle(case):
+    n, mask = case
     g = make_group([n])
-    elems = {x % n for x in elems}
-    assert subset_sums(gset(g, elems)).members() == naive_sigma(g, elems)
+    A = GroupSet(g, mask)
+    assert subset_sums(A).members() == naive_sigma(g, A.members())
+
+
+@pytest.mark.parametrize(
+    "factors, elems, folds",
+    [
+        ((19,), [1, 5, 9, 18], 0),
+        ((73,), list(range(0, 73, 7)), 0),
+        ((4096,), random.Random(4096).sample(range(4096), 40), 0),
+        ((4, 4), [1, 4, 5], 3),  # Sigma of size 8 < 16: every member folds
+        ((2,) * 4, [1, 2, 4, 8], 4),  # G is reached at the last member
+    ],
+    ids=["Z19", "Z73", "Z4096", "Z4xZ4", "Z2^4"],
+)
+def test_sigma_rotates_inline_on_cyclic_groups(factors, elems, folds, monkeypatch):
+    # Z_n translates S inline by two shifts; a product group still makes
+    # one `_shift_mask` call per member folded
+    g = make_group(factors)
+    calls = count_calls(monkeypatch, _shift_mask)
+    sigma = subset_sums(gset(g, elems))
+    assert calls["_shift_mask"] == folds
+    assert sigma.members() == naive_sigma(g, elems)
 
 
 def test_sigma_contains_set_and_zero():
