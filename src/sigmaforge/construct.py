@@ -12,17 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import CapacityError, Element, GenerationError, Subgroup, _join, quotient
-from .setcalc import (
+from .groups import (
+    CapacityError,
+    Element,
+    GenerationError,
     GroupMismatchError,
     GroupSet,
-    _check_same,
+    Subgroup,
     _iter_bits,
+    _join,
     _shift_mask,
-    generated_subgroup,
-    subset_walk,
-    sumset,
+    quotient,
 )
+from .setcalc import _check_same, generated_subgroup, subset_walk, sumset
 
 HALF_SUBSET_CAP = 24
 
@@ -194,36 +196,36 @@ def dense_graph(b: Element, S: GroupSet, H: Subgroup, u: int) -> DenseGraph:
     W = tuple(cc.coset for cc in _classify(S, q, u) if cc.label == "dense")
     wset = set(W)
     bcoset = q.project(b.index)
-    qg = q.quotient_group
-    arcs = tuple(
-        (c, qg.add_index(c, bcoset)) for c in W if qg.add_index(c, bcoset) in wset
-    )
+    add = q.quotient_group.add_index
+    arcs = tuple((c, t) for c in W if (t := add(c, bcoset)) in wset)
     return DenseGraph(W, arcs, _graph_shape(W, arcs))
 
 
 def _graph_shape(W, arcs) -> str:
+    """`cycle`, `path` or `other` for the dense graph on W with these arcs.
+
+    The arcs are c -> c + b̄ for the c in W whose successor lies in W, and
+    c -> c + b̄ is injective, so no vertex has two arcs out or two in: the
+    graph is disjoint paths and cycles, and each path has one vertex with
+    no arc out, so |W| - |arcs| of them are paths.  So the graph is cycles
+    iff |arcs| = |W| > 0.  It is one path iff W is empty, or |arcs| =
+    |W| - 1 and the walk from the one vertex with no arc in covers W;
+    otherwise cycles sit beside that path, and it is `other`, as it is
+    with two or more paths.
+    """
     if not W:
         return "path"
-    out = dict(arcs)
-    indeg = {}
-    for _, t in arcs:
-        indeg[t] = indeg.get(t, 0) + 1
-    if len(out) == len(W):
-        # every vertex has an out-arc; generator shifts are injective, so
-        # this is a disjoint union of directed cycles
+    if len(arcs) == len(W):
         return "cycle"
-    starts = [v for v in W if indeg.get(v, 0) == 0]
-    ends = [v for v in W if v not in out]
-    if len(starts) != 1 or len(ends) != 1:
+    if len(arcs) != len(W) - 1:
         return "other"
-    seen = 0
-    v = starts[0]
-    while True:
-        seen += 1
-        if v not in out:
-            break
+    out = dict(arcs)
+    (v,) = set(W).difference(out.values())
+    seen = 1
+    while v in out:
         v = out[v]
-    return "path" if seen == len(W) and v == ends[0] else "other"
+        seen += 1
+    return "path" if seen == len(W) else "other"
 
 
 def greedy_grow(A: GroupSet, u: int) -> GrowthTrace:

@@ -203,16 +203,15 @@ def _shift_plan(group: Group, g: int) -> tuple:
 
 
 class GroupSet:
-    """A subset of a group as a flat bitmap with cached cardinality."""
+    """A subset of a group as a flat bitmap."""
 
-    __slots__ = ("group", "mask", "_card")
+    __slots__ = ("group", "mask")
 
     def __init__(self, group: Group, mask: int = 0):
         if mask < 0 or mask >> group.order:
             raise ValueError("mask has bits outside the group")
         self.group = group
         self.mask = mask
-        self._card = None
 
     @classmethod
     def from_indices(cls, group, indices):
@@ -258,9 +257,7 @@ class GroupSet:
 
     @property
     def card(self) -> int:
-        if self._card is None:
-            self._card = self.mask.bit_count()
-        return self._card
+        return self.mask.bit_count()
 
     def members(self):
         """Ascending member indices, from one scan of `bin(mask)`.

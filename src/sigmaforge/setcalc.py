@@ -289,11 +289,11 @@ def stabilizer(S: GroupSet) -> Subgroup:
 
     The `Subgroup` on the bitmap of `_stabilizer_mask`.
     """
-    return Subgroup(S.group, _stabilizer_mask(S.group, S.mask, S.card))
+    return Subgroup(S.group, _stabilizer_mask(S.group, S.mask))
 
 
-def _stabilizer_mask(group: Group, mask: int, card: int) -> int:
-    """Bitmap of stab(S) for the bitmap `mask` of S, where `card` = |S|.
+def _stabilizer_mask(group: Group, mask: int) -> int:
+    """Bitmap of stab(S) for the bitmap `mask` of S.
 
     Lagrange first.  S is a union of H-cosets for H = stab(S), so |H|
     divides d = gcd(|S|, |G|), and every h in H has order dividing |H|:
@@ -325,6 +325,7 @@ def _stabilizer_mask(group: Group, mask: int, card: int) -> int:
     full = group.full_mask
     if mask == 0 or mask == full:
         return full
+    card = mask.bit_count()
     d = gcd(card, group.order)
     if d == 1:
         return 1

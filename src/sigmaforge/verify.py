@@ -1,40 +1,19 @@
 """Desk-scale verification harnesses for the subset-sum theorems.
 
 Exhaustive modes enumerate every instance below a capacity cap; random
-modes draw instances from a seeded RNG so every reported number is
+modes draw instances from a seeded RNG, so every reported number is
 replayable.  Every verifier streams its instances, in a fixed order, on a
-single thread, so no instance list is ever held in memory.  Exhaustive
-`main`/`corollary` and exhaustive `extremal_search` walk the subsets with
-`setcalc.subset_walk`: one rotation per subset walked, since each Sigma
-extends its parent's, and both skip the subtrees whose answer is already
-known; it rotates by a per-element plan (`groups._shift_plan`) inline.
-The walk settles a subset whose Sigma is all of G: it yields neither the
-subset nor its extensions, all with Sigma = G.
-`main`/`corollary` walk only the subsets B of G \\ {0}: B ∪ {0} has the
-same Sigma, stabilizer and |A \\ H|, so each node stands for two sets.  A
-full Sigma has slack 0 under both theorems, which ties [], the first set,
-so a settled subset neither fails nor is the witness.  They walk one
-subset per orbit of the automorphisms x -> (u_i·x_pi(i)) of
-`groups._automorphism_images` (units u_i, pi permuting equal moduli): an
-automorphism keeps |Sigma|, |H| and |A \\ H|, so the lex-first least-slack
-set is canonical, and only a failing orbit sends them back to the plain
-walk, which lists every failing set.  Cyclic groups gain by their phi(n)
-unit multiples, Z2^n by its coordinate permutations.  Exhaustive search
-keeps the plain walk: on its small k, building the image tables costs
-more than the nodes it would skip.  The stabilizer runs
-once per distinct Sigma, on the raw mask (`setcalc._stabilizer_mask`, no
-`GroupSet` or `Subgroup` built); by Lagrange it costs no rotation when
-gcd(|Sigma|, |G|) = 1.  The search walks only the prefixes of its
-k-subsets, lets the walk settle a prefix whose Sigma is full, skips one
-whose |Sigma| plus its missing members is no smaller than the best so far,
-and runs the stabilizer only on a k-subset that would beat the best so
-far; its hill-climb mode reaches each neighbour's Sigma with one
-rotation.  The walk visits the subsets in lex order of their member
-lists, so the first least-slack subset is the lex-least witness.  The other verifiers evaluate each instance
-through `_verify`; both paths assemble the run in `_run`.  The completeness
-checks `olson_check`/`vu_check` run one `subset_sums` per instance, on a
-bitmap summed from the instance's member tuple in one C-level pass: an
-exhaustive instance holds its members' bits, a sampled one their indices.
+single thread.  Each shortcut's proof sits in the docstring of the
+function that takes it:
+
+- `_subset_theorem`: exhaustive `main`/`corollary`, halving, settlement
+  and one walk per automorphism orbit;
+- `setcalc.subset_walk`: the subset walk they and `extremal_search`
+  share, one rotation per node;
+- `extremal_search`: the search's pruning and its hill-climb;
+- `_completeness`: `olson_check`/`vu_check`, one `subset_sums` per
+  instance;
+- `_verify`: the driver of the other verifiers.
 """
 
 from __future__ import annotations
@@ -291,9 +270,8 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
         for mask, sigma in subset_walk(group, range(1, n), settle=settle, images=images):
             t = terms.get(sigma)
             if t is None:
-                size = sigma.bit_count()
-                h = _stabilizer_mask(group, sigma, size)
-                t = terms[sigma] = (size, h, h.bit_count())
+                h = _stabilizer_mask(group, sigma)
+                t = terms[sigma] = (sigma.bit_count(), h, h.bit_count())
             sigma_size, h_mask, h_size = t
             outside = (mask & ~h_mask).bit_count()
             lhs, rhs = sides(sigma_size, h_size, outside)
@@ -648,14 +626,17 @@ def extremal_search(
     k-set is infeasible.  Hill-climb moves from each seeded random k-set A
     to its least feasible neighbour A - out + inc that precedes A, until
     none does; each neighbour's Sigma is one rotation of Sigma(A \\ {out}),
-    since Sigma(B ∪ {x}) = Sigma(B) | (Sigma(B) + x).
+    since Sigma(B ∪ {x}) = Sigma(B) | (Sigma(B) + x).  The exhaustive walk
+    visits every subset, not one per automorphism orbit: on the search's
+    small k, building the image tables costs more than the nodes it would
+    skip.
     """
     if k < 1 or k > group.order - 1:
         raise ValueError(f"k = {k} out of range")
     nonzero = range(1, group.order)
 
     def feasible(sigma):
-        return _stabilizer_mask(group, sigma, sigma.bit_count()) == 1
+        return _stabilizer_mask(group, sigma) == 1
 
     best = None  # (|Sigma|, mask)
     if mode == "exhaustive":

@@ -129,6 +129,28 @@ def naive_coset_profile(group, members, terms):
     return tuple(sum(v >= j for v in counts.values()) for j in range(1, top + 1))
 
 
+def naive_graph_shape(W, succ):
+    """Shape of the graph on the vertices W with arcs v -> succ(v) in W.
+
+    `cycle` when every vertex's successor lies in W; else `path` when W is
+    empty or the successor walk from some vertex of W visits all of W;
+    else `other`.  Read from the successor map alone, with no arc count.
+    """
+    W = set(W)
+    if not W:
+        return "path"
+    if all(succ(v) in W for v in W):
+        return "cycle"
+    for start in W:
+        seen, v = set(), start
+        while v in W and v not in seen:
+            seen.add(v)
+            v = succ(v)
+        if seen == W:
+            return "path"
+    return "other"
+
+
 def naive_canonical(images, members):
     """Whether the sorted `members` are the lex-least of their images.
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 from sigmaforge.cli import build_parser, main, parse_sequence, parse_set
 from sigmaforge import BoundReport, GroupSet, parse_element, parse_group, verify
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run(capsys, *argv):
@@ -28,6 +30,20 @@ def fresh(*argv):
         env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout
+
+
+def readme_commands():
+    """The `sigmaforge ...` lines of the fenced block under README's `## CLI`."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("sigmaforge ")]
+
+
+def test_readme_cli_examples_run():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_sigma_set(capsys):

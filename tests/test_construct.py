@@ -29,7 +29,7 @@ from sigmaforge import (
 )
 from sigmaforge import construct
 from sigmaforge.setcalc import subset_walk
-from conftest import CountedWalk, count_work, half_subset_loop
+from conftest import CountedWalk, count_work, half_subset_loop, naive_graph_shape
 
 
 def gset(g, idxs):
@@ -233,8 +233,25 @@ def test_classify_and_dense_graph_match_projection_oracle(factors, data):
     W = tuple(cc.coset for cc in classes if cc.label == "dense")
     heads = {c: q.quotient_group.add_index(c, q.project(b)) for c in W}
     arcs = tuple((c, heads[c]) for c in W if heads[c] in W)
-    expected = DenseGraph(W, arcs, construct._graph_shape(W, arcs))
+    expected = DenseGraph(W, arcs, naive_graph_shape(W, heads.get))
     assert dense_graph(Element(g, b), S, H, u) == expected
+
+
+@pytest.mark.parametrize("spec", ["Z6", "Z12", "Z2xZ4", "Z3xZ3"])
+def test_graph_shape_matches_successor_walk_oracle(spec):
+    """`_graph_shape` on random vertex sets W of G and every generator b."""
+    g = parse_group(spec)
+    rng = random.Random(spec)
+    draws = [[], list(range(g.order))] + [
+        rng.sample(range(g.order), rng.randint(1, g.order)) for _ in range(300)
+    ]
+    for W in draws:
+        W = tuple(sorted(W))
+        for b in range(g.order):
+            succ = {c: g.add_index(c, b) for c in W}
+            arcs = tuple((c, succ[c]) for c in W if succ[c] in W)
+            shape = naive_graph_shape(W, succ.get)
+            assert construct._graph_shape(W, arcs) == shape, (W, b)
 
 
 def test_classify_rotates_once_per_coset_met(monkeypatch):

@@ -176,15 +176,24 @@ def test_golden_digest_with_counterexamples(name, monkeypatch):
 # interactive commands print most: a `sigma` answer whose Sigma is the
 # whole group (its stabilizer is G too), a Sigma that is a proper subgroup,
 # a stabilizer other than Sigma, Sigmas whose sums wrap past the top
-# index (a cyclic and a product group), the trivial group Z1, and greedy
-# and exact `construct` runs.  The operand sets are seeded draws or fixed
-# literals, so each case is its own argv.
+# index (a cyclic and a product group), the trivial group Z1, `sigma --seq`
+# answers, every `bound --which` in JSON and one in CSV, exhaustive and
+# hill-climbing `search` records, and greedy and exact `construct` runs.
+# The operand sets are seeded draws or fixed literals, so each case is its
+# own argv.
 
 
 def _drawn_set(spec: str, k: int, seed: int) -> str:
     """`--set` literal of k distinct elements of `spec`, drawn with `seed`."""
     g = parse_group(spec)
     picks = random.Random(seed).sample(range(g.order), k)
+    return ";".join(g.element_literal(i) for i in picks)
+
+
+def _drawn_seq(spec: str, k: int, seed: int) -> str:
+    """`--seq` literal of k terms of `spec` drawn with `seed`, repeats allowed."""
+    g = parse_group(spec)
+    picks = random.Random(seed).choices(range(g.order), k=k)
     return ";".join(g.element_literal(i) for i in picks)
 
 
@@ -239,6 +248,104 @@ CLI_CASES = {
     "sigma-stabilizer-below-sigma-Z12": (
         ["sigma", "--group", "Z12", "--set", "1;2", "--json"],
         "43bf4d40cac3216e9ac4e6def002ca207f679f4fc524197d07fd0f270975c024",
+    ),
+    "sigma-seq-Z4096": (
+        ["sigma", "--group", "Z4096", "--seq", _drawn_seq("Z4096", 40, 9), "--json"],
+        "ba098007dd00025041bfb66dc72185e7f2199d08d5d3384ef35859a61d0deb74",
+    ),
+    "sigma-seq-Z2^12": (
+        ["sigma", "--group", Z2_12, "--seq", _drawn_seq(Z2_12, 40, 10), "--json"],
+        "ac0facb797c59a6fa984f0f2b7eb234d79fdc7064276b67a65722cf881d64fac",
+    ),
+    "bound-main-Z4096": (
+        ["bound", "--which", "main", "--group", "Z4096", "--set",
+         _drawn_set("Z4096", 40, 11), "--json"],
+        "2e3e1011d0bc416a616e933663fc674436c37f32519674d08cb306def9c8ecb1",
+    ),
+    "bound-main-Z2^12": (
+        ["bound", "--which", "main", "--group", Z2_12, "--set",
+         _drawn_set(Z2_12, 40, 12), "--json"],
+        "2e3e1011d0bc416a616e933663fc674436c37f32519674d08cb306def9c8ecb1",
+    ),
+    "bound-corollary-Z4096": (
+        ["bound", "--which", "corollary", "--group", "Z4096", "--set",
+         _drawn_set("Z4096", 40, 13), "--json"],
+        "c9cfceece802577641d70f02249d60474c7c9eb6c5ad519045720f37a6081029",
+    ),
+    "bound-corollary-Z2^12": (
+        ["bound", "--which", "corollary", "--group", Z2_12, "--set",
+         _drawn_set(Z2_12, 40, 14), "--json"],
+        "c9cfceece802577641d70f02249d60474c7c9eb6c5ad519045720f37a6081029",
+    ),
+    "bound-sequence-Z4096": (
+        ["bound", "--which", "sequence", "--group", "Z4096", "--seq",
+         _drawn_seq("Z4096", 40, 15), "--json"],
+        "61ab67e26e019b9452e645a8883fb74e214e4625a27b08c5f352464f34684a08",
+    ),
+    "bound-sequence-Z2^12": (
+        ["bound", "--which", "sequence", "--group", Z2_12, "--seq",
+         _drawn_seq(Z2_12, 40, 16), "--json"],
+        "61ab67e26e019b9452e645a8883fb74e214e4625a27b08c5f352464f34684a08",
+    ),
+    "bound-kneser-Z64xZ64": (
+        ["bound", "--which", "kneser", "--group", "Z64xZ64"]
+        + [arg for seed in (17, 18, 19)
+           for arg in ("--set", _drawn_set("Z64xZ64", 40, seed))]
+        + ["--json"],
+        "ca8ef4ddcfc77cc15cd345ac41300f1be9d5cfd307ca5821abe94046c368104c",
+    ),
+    "bound-recursive-u8": (
+        ["bound", "--which", "recursive", "--u", "8", "--json"],
+        "2575d7cd2be35e9c1a8f8ca4fafd7d304dd976d425578ba29f4f0bcc34aaffaa",
+    ),
+    "bound-main-Z4096-csv": (
+        ["bound", "--which", "main", "--group", "Z4096", "--set",
+         _drawn_set("Z4096", 40, 11), "--csv"],
+        "b1388610bcab19ad73a2de3f2c27fac40022e3292372d9c20e0c9562c418263c",
+    ),
+    # 40 drawn terms give Sigma = G, where the stabilizer needs no
+    # refinement; 8 give a proper Sigma whose stabilizer is refined
+    "sigma-seq-Z4096-k8": (
+        ["sigma", "--group", "Z4096", "--seq", _drawn_seq("Z4096", 8, 20), "--json"],
+        "08e75053816b70e8974a662bf39762930fb630232dc8499ce6b1bbd3db9cfdcc",
+    ),
+    "sigma-seq-Z2^12-k8": (
+        ["sigma", "--group", Z2_12, "--seq", _drawn_seq(Z2_12, 8, 21), "--json"],
+        "db5377ec46d509143dc7ef223cab7759b44a2953e222cd8feb1c4935eaf06851",
+    ),
+    "bound-main-Z4096-k8": (
+        ["bound", "--which", "main", "--group", "Z4096", "--set",
+         _drawn_set("Z4096", 8, 22), "--json"],
+        "66b6f22ad6404717d291d3f812e51fcb134e0b347295755c2d85f68a3a6242a5",
+    ),
+    "bound-corollary-Z2^12-k8": (
+        ["bound", "--which", "corollary", "--group", Z2_12, "--set",
+         _drawn_set(Z2_12, 8, 23), "--json"],
+        "04e518fc36a0e07f4402b0b72e7f1b6d0463260ab1751c20661b098aad428be6",
+    ),
+    "bound-sequence-Z4096-k8": (
+        ["bound", "--which", "sequence", "--group", "Z4096", "--seq",
+         _drawn_seq("Z4096", 8, 24), "--json"],
+        "efd360231d7fb9b8fba9d259c0ebeca3f646f488d99159632267005a5542cc48",
+    ),
+    "bound-kneser-Z64xZ64-k3": (
+        ["bound", "--which", "kneser", "--group", "Z64xZ64", "--set",
+         _drawn_set("Z64xZ64", 3, 25), "--set", _drawn_set("Z64xZ64", 3, 26),
+         "--json"],
+        "85a652a9096ce33b7714e13fa2e0f256de29832571062fd8d21649abbbfbab91",
+    ),
+    "search-exhaustive-Z13": (
+        ["search", "--group", "Z13", "--k", "3", "--exhaustive", "--json"],
+        "7f97c7ed79baa5417cff50e9f37d52cb94344248bb56373f9648041a9458f585",
+    ),
+    "search-exhaustive-Z23": (
+        ["search", "--group", "Z23", "--k", "3", "--exhaustive", "--json"],
+        "a4f2216f243d321b67394fe1a20efb685858280813cd80c5f579f031d31371c9",
+    ),
+    "search-hillclimb-Z64": (
+        ["search", "--group", "Z64", "--k", "8", "--hillclimb", "--seed", "1",
+         "--restarts", "3", "--json"],
+        "77406cea4497ab91ed2d6c7b17f27e76664cd7778efc14351f7eb8e7a4d10322",
     ),
     "construct-greedy-Z4096": (
         ["construct", "--group", "Z4096", "--set", _drawn_set("Z4096", 40, 6),
