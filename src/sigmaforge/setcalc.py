@@ -123,31 +123,42 @@ def shift(A: GroupSet, g: Element) -> GroupSet:
 
 
 def subset_sums(A: GroupSet) -> GroupSet:
-    """Sigma(A): fold S <- S | (S + a) over a in A in ascending index order.
+    """Sigma(A): fold S <- S | (S + a) over the nonzero a in A, lowest first.
 
     The members are peeled off lowest bit first inline, not through
-    `_iter_bits`: no generator frame per member, and the fold stops as soon
-    as S is the whole group.  On Z_n (one invariant factor) the translate
+    `_iter_bits`: no generator frame per member.  The member 0 is dropped
+    up front, since S + 0 = S.  On Z_n (one invariant factor) the translate
     S + a is taken inline by two shifts, as `_shift_mask` proves, with no
     call per member.
+
+    The fold stops at the pigeonhole bound.  Let S = Sigma(P) after folding
+    the members P, and R the nonzero members not yet folded.  Each s in S
+    and each s + r, r in R, is a subset sum of A, so S + ({0} ∪ R) lies in
+    Sigma(A); if |S| + |R| >= |G|, then S and g - ({0} ∪ R) meet for every
+    g, and Sigma(A) = G.  (R must leave 0 out, or {0} ∪ R has only |R|
+    members.)  `need` is |G| - |R|, so the test also stops at S = G; a
+    fold that stops with members left has met it.
     """
     g = A.group
     full = g.full_mask
     s = 1
-    rest = A.mask
+    rest = A.mask & -2
+    need = g.order - rest.bit_count()
     if len(g.factors) == 1:
         n = g.order
-        while rest and s != full:
+        while rest and s.bit_count() < need:
             low = rest & -rest
             a = low.bit_length() - 1
             s |= ((s << a) & full) | (s >> (n - a))
             rest ^= low
-        return GroupSet(g, s)
-    while rest and s != full:
-        low = rest & -rest
-        s |= _shift_mask(g, s, low.bit_length() - 1)
-        rest ^= low
-    return GroupSet(g, s)
+            need += 1
+    else:
+        while rest and s.bit_count() < need:
+            low = rest & -rest
+            s |= _shift_mask(g, s, low.bit_length() - 1)
+            rest ^= low
+            need += 1
+    return GroupSet(g, full if rest else s)
 
 
 def subset_walk(group: Group, elems, size=None, settle=False, images=None):

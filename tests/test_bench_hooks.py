@@ -37,6 +37,7 @@ verify.vu_check(67)
 m = tracer.layer_metrics(1.0)
 assert m["verify.instances"] == 22 + 1, m
 assert m["verify.evaluations_per_instance"] == 1.0, m
+assert m["setcalc.subset_sums.full_ratio"] == 1.0, m
 assert m["groups.quotient.calls"] == 0, m
 """
 

@@ -219,16 +219,35 @@ def test_sigma_examples():
     assert subset_sums(gset(g8, [2, 4])).members() == [0, 2, 4, 6]
 
 
-@given(st.integers(1, 80).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
-))
-@example((1, 1))  # Z1: S = G before any member is folded
-@example((80, (1 << 80) - 1))  # the whole group
-@example((73, 1 | 1 << 72))  # 0 and n - 1, the largest wrap
-@settings(max_examples=150)
+def _sigma_case(factors):
+    """A group and a mask on it: uniform, or the OR of three uniform masks,
+    which holds 7/8 of G on average, so the fold meets the pigeonhole bound
+    before S = G."""
+    bits = st.integers(0, (1 << math.prod(factors)) - 1)
+    dense = st.tuples(bits, bits, bits).map(lambda m: m[0] | m[1] | m[2])
+    return st.tuples(st.just(factors), st.one_of(bits, dense))
+
+
+@given(
+    st.one_of(
+        st.integers(1, 80).map(lambda n: (n,)),
+        st.sampled_from([(2, 4), (3, 3), (2, 6), (4, 4), (2, 2, 2, 2)]),
+    ).flatmap(_sigma_case)
+)
+@example(((1,), 1))  # Z1: S = G before any member is folded
+@example(((80,), (1 << 80) - 1))  # the whole group
+@example(((73,), 1 | 1 << 72))  # 0 and n - 1, the largest wrap
+@example(((73,), (1 << 73) - 2))  # G \ {0}: the bound holds before any fold
+@example(((3,), 0b101))  # {0, 2}: Sigma {0, 2}, and G if 0 counted as a member left
+@example(((3,), 0b010))  # {1}: |S| + |R| = n - 1, Sigma = {0, 1}
+@example(((8,), 0b01010100))  # H \ {0}, H = {0, 2, 4, 6} of index 2: Sigma = H
+@example(((8,), 0b01010101))  # H itself
+@example(((2, 4), 0b00110010))  # H \ {0}, H = {(0,0), (1,0), (0,2), (1,2)}
+@example(((2, 4), 0b00110011))  # H itself
+@settings(max_examples=200)
 def test_sigma_matches_oracle(case):
-    n, mask = case
-    g = make_group([n])
+    factors, mask = case
+    g = make_group(list(factors))
     A = GroupSet(g, mask)
     assert subset_sums(A).members() == naive_sigma(g, A.members())
 
@@ -240,9 +259,10 @@ def test_sigma_matches_oracle(case):
         ((73,), list(range(0, 73, 7)), 0),
         ((4096,), random.Random(4096).sample(range(4096), 40), 0),
         ((4, 4), [1, 4, 5], 3),  # Sigma of size 8 < 16: every member folds
+        ((4, 4), list(range(1, 16)), 0),  # |S| + |R| = 1 + 15: G before any fold
         ((2,) * 4, [1, 2, 4, 8], 4),  # G is reached at the last member
     ],
-    ids=["Z19", "Z73", "Z4096", "Z4xZ4", "Z2^4"],
+    ids=["Z19", "Z73", "Z4096", "Z4xZ4", "Z4xZ4-nonzero", "Z2^4"],
 )
 def test_sigma_rotates_inline_on_cyclic_groups(factors, elems, folds, monkeypatch):
     # Z_n translates S inline by two shifts; a product group still makes
