@@ -480,41 +480,50 @@ def _join(group: Group, h: int, gens: int) -> int:
 
 
 def _automorphism_images(group: Group) -> list:
-    """Index tables of the maps x -> (u_1·x_pi(1), ..., u_k·x_pi(k)), bar the identity.
+    """Index tables of automorphisms of G, bar the identity: scalings and shears.
 
-    u_i is a unit mod n_i and pi permutes only coordinates of equal
-    moduli n_i > 1, so coordinate i of the image is a unit multiple of a
-    coordinate of the same modulus: each map is an automorphism of G.  A
-    digit with n_i = 1 is always 0 and stays fixed.  The maps form a
-    subgroup of Aut(G) with prod phi(n_i) · prod (multiplicity)! members,
-    the multiplicities those of the moduli > 1, and they are distinct: the
-    image of the unit vector e_j is u_i·e_i at the digit i with pi(i) = j.
-    Table t has t[x] = the index of the image of x.  Z1 and Z2 get no table.
+    The scalings x -> (u_1·x_pi(1), ..., u_k·x_pi(k)) have u_i a unit mod
+    n_i and pi permuting only coordinates of equal moduli n_i > 1; there
+    are prod phi(n_i) · prod (multiplicity)! of them, the multiplicities
+    those of the moduli > 1.  A digit with n_i = 1 is always 0 and stays
+    fixed.  The shears x_i -> x_i + c·x_j (i != j, 0 < c < n_i) are well
+    defined iff n_i | c·n_j, so c runs over the gcd(n_i, n_j) - 1 nonzero
+    multiples of n_i / gcd(n_i, n_j); each is additive, with the shear by
+    -c as its inverse.  The maps are distinct: a scaling sends each e_j to
+    u_i·e_i at the digit i with pi(i) = j, a shear moves e_j alone, to
+    e_j + c·e_i.  Table t has t[x] = the index of the image of x.
     """
-    coords = [group.decode(x) for x in range(group.order)]
-    classes = {}  # n > 1 -> the digits of modulus n
+    classes = {}  # n > 1 -> the coordinates of modulus n
     for i, n in enumerate(group.factors):
         if n > 1:
             classes.setdefault(n, []).append(i)
     if not classes:
         return []  # Z1
+    identity = tuple(range(group.order))
+    digits = [[x // s % n for x in identity] for n, s in zip(group.factors, group.strides)]
     # share[i, j]: per unit u mod n_i, digit i's part of the index of every
     # image, for maps that put u·x_j at digit i (n_j = n_i)
     share = {
         (i, j): [
-            tuple(u * c[j] % n * group.strides[i] for c in coords)
+            tuple(u * d % n * group.strides[i] for d in digits[j])
             for u in range(n) if math.gcd(u, n) == 1
         ]
-        for n, digits in classes.items() for i in digits for j in digits
+        for n, coords in classes.items() for i in coords for j in coords
     }
-    identity = tuple(range(group.order))
     tables = []
     for perms in product(*map(permutations, classes.values())):
-        pairs = [(i, j) for digits, p in zip(classes.values(), perms) for i, j in zip(digits, p)]
+        pairs = [(i, j) for coords, p in zip(classes.values(), perms) for i, j in zip(coords, p)]
         for picks in product(*(share[pair] for pair in pairs)):
             table = tuple(map(sum, zip(*picks)))
             if table != identity:
                 tables.append(table)
+    for i, j in permutations(range(len(digits)), 2):
+        n, s = group.factors[i], group.strides[i]
+        step = n // math.gcd(n, group.factors[j])
+        for c in range(step, n, step):  # none unless n_i, n_j > 1
+            tables.append(tuple(
+                x + ((a + c * b) % n - a) * s for x, a, b in zip(identity, digits[i], digits[j])
+            ))
     return tables
 
 

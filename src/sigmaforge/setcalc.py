@@ -199,7 +199,8 @@ def subset_walk(group: Group, elems, size=None, settle=False, images=None):
       phi(B) would hold B ∪ {x} and outgrow it.  So x < a, and p = phi(a),
       which is outside phi(B) and, below x, outside B too, either moves
       the lowest difference down to p, in phi(A), or leaves it at x: phi(A)
-      precedes A.  The argument needs only that each phi is injective.
+      precedes A.  The argument needs only that each phi is injective;
+      no proof here needs the maps to form a group.
     - The test is a comparison.  The lowest bit of X ^ Y lies in X iff
       rev(X) > rev(Y), for the bit-reversed layout a -> bit |G| - 1 - a; so
       B is canonical iff rev(phi(B)) <= rev(B) for every phi.

@@ -240,10 +240,12 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
     orderly under the maps of `groups._automorphism_images`, which fix 0
     and so map G \\ {0} onto itself: it yields only the canonical B.
     - The witness is canonical: the lex-first set with the least slack is,
-      since its whole orbit has that slack.
-    - Failures are orbit-invariant: a set fails only if some canonical set
-      fails.  So if no canonical node fails, none fails; if one does, the
-      plain walk runs again and lists every failure in mask order.
+      since each of its images has that slack.
+    - A set fails only if some canonical set fails.  A failing B that is
+      not canonical has an image phi(B) that precedes it and fails too;
+      a strictly falling lex chain is finite, so it ends at a failing
+      canonical set.  So if no canonical node fails, none fails; if one
+      does, the plain walk runs again and lists every failure in mask order.
     `instances` is 2^|G| either way, by arithmetic: neither settled nor
     non-canonical subsets are yielded.
 

@@ -367,9 +367,11 @@ ORDER_24_GROUPS = [(n,) for n in range(1, 25)] + [
     (2, 2, 2, 2), (3, 6), (2, 10), (2, 12), (2, 2, 6), (2, 3), (2, 3, 2), (3, 2, 4),
     (1, 1), (1, 3, 1, 3), (2, 1, 2, 1, 4), (1,) * 12 + (2,), (1,) * 12 + (3,),
 ]
+# the non-cyclic groups of order 32, whose tables mix scalings and shears
+ORDER_32_GROUPS = [(2, 16), (4, 8), (2, 2, 8), (2, 4, 4), (2, 2, 2, 4), (2,) * 5]
 
 
-@pytest.mark.parametrize("factors", ORDER_24_GROUPS)
+@pytest.mark.parametrize("factors", ORDER_24_GROUPS + ORDER_32_GROUPS)
 def test_automorphism_images_are_automorphisms(factors):
     g = make_group(factors)
     images = _automorphism_images(g)
@@ -382,7 +384,10 @@ def test_automorphism_images_are_automorphisms(factors):
     assert len(set(images)) == len(images) and every not in images
     units = math.prod(sum(math.gcd(u, n) == 1 for u in range(n)) for n in factors)
     perms = math.prod(math.factorial(factors.count(n)) for n in set(factors) - {1})
-    assert len(images) == units * perms - 1
+    shears = sum(
+        math.gcd(n, m) - 1 for i, n in enumerate(factors) for j, m in enumerate(factors) if i != j
+    )
+    assert len(images) == units * perms - 1 + shears
 
 
 def test_capacity_cap(monkeypatch):

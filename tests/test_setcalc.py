@@ -414,7 +414,10 @@ def test_settling_walk_skips_exactly_the_sent_subtrees(factors, data):
     assert seen == [(m, s) for m, s in nodes if not any(_below(m, b) for b in skip)]
 
 
-ORBIT_GROUPS = [(2,), (6,), (8,), (2, 3), (6, 2), (3, 3), (2, 4), (2, 2, 2), (2, 3, 2)]
+ORBIT_GROUPS = [
+    (2,), (6,), (8,), (2, 3), (6, 2), (3, 3), (2, 4), (2, 2, 2), (2, 3, 2), (4, 4), (2, 8),
+    (2, 2, 4),
+]
 
 
 @given(st.sampled_from(ORBIT_GROUPS), st.booleans(), st.data())

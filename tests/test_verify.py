@@ -86,6 +86,20 @@ TIGHTENED = {
     "corollary_sides": lambda sigma, stab, outside: (
         sigma, stab + stab * outside + sigma - 1),
 }
+# Sides for both theorems that no subset of a group of order <= 16 fails
+# (k <= s <= 15, as for `main`), and whose least slack falls on a nonempty
+# set: they check the witness the orbit walk picks.  [] and full-Sigma sets
+# have slack 16, so the walk settles.
+WITNESSING = dict.fromkeys(
+    ["main_sides", "corollary_sides"],
+    lambda sigma, stab, outside: (sigma - stab + 16, 2 * outside),
+)
+
+
+def patch_sides(monkeypatch, theorem, sides):
+    name = f"{theorem}_sides"
+    for module in (bounds, verify):
+        monkeypatch.setattr(module, name, sides[name])
 
 
 @pytest.mark.parametrize(
@@ -93,9 +107,7 @@ TIGHTENED = {
 )
 @pytest.mark.parametrize("theorem", ["main", "corollary"])
 def test_exhaustive_counterexamples_match_loop(theorem, spec, monkeypatch):
-    name = f"{theorem}_sides"
-    for module in (bounds, verify):
-        monkeypatch.setattr(module, name, TIGHTENED[name])
+    patch_sides(monkeypatch, theorem, TIGHTENED)
     g = parse_group(spec)
     run = exhaustive_theorem(g, theorem)
     # a full Sigma fails the tightened sides unless |G| = 1, so the walk
@@ -114,19 +126,35 @@ ORDER_12_GROUPS = [f"Z{n}" for n in range(1, 13)] + [
 
 
 @pytest.mark.parametrize("spec", ORDER_12_GROUPS)
-@pytest.mark.parametrize("tightened", [False, True])
+@pytest.mark.parametrize(
+    "sides",  # the ids say whether the sides are the tightened ones
+    [pytest.param(None, id="False"), pytest.param(TIGHTENED, id="True"),
+     pytest.param(WITNESSING, id="witness")],
+)
 @pytest.mark.parametrize("theorem", ["main", "corollary"])
-def test_orbit_walk_matches_loop(theorem, tightened, spec, monkeypatch):
-    # the paper's sides never fail here, so the orbit walk answers alone;
-    # the tightened ones fail on some subsets, so the plain walk reruns
-    if tightened:
-        name = f"{theorem}_sides"
-        for module in (bounds, verify):
-            monkeypatch.setattr(module, name, TIGHTENED[name])
+def test_orbit_walk_matches_loop(theorem, sides, spec, monkeypatch):
+    # the paper's and the witnessing sides never fail here, so the orbit
+    # walk answers alone; the tightened ones fail on some subsets, so the
+    # plain walk reruns
+    if sides:
+        patch_sides(monkeypatch, theorem, sides)
     g = parse_group(spec)
     run = exhaustive_theorem(g, theorem)
-    assert bool(run.counterexamples) == (tightened and g.order > 1)
+    assert bool(run.counterexamples) == (sides is TIGHTENED and g.order > 1)
     assert run.to_json() == exhaustive_loop(g, theorem).to_json()
+
+
+@pytest.mark.parametrize("spec", ["Z4xZ4", "Z2xZ8", "Z2xZ2xZ4", "Z2xZ2xZ2xZ2"])
+def test_orbit_walk_witness_matches_loop_on_order_16(spec, monkeypatch):
+    # shears prune these groups the most; the loop takes about 1 s each.
+    # Every Sigma in Z2^4 is the span of A, a subgroup, so there every
+    # slack is 16 and the witness is []
+    patch_sides(monkeypatch, "main", WITNESSING)
+    g = parse_group(spec)
+    run = exhaustive_theorem(g, "main")
+    assert not run.counterexamples
+    assert (run.stats["min_slack"] < 16) == (spec != "Z2xZ2xZ2xZ2")
+    assert run.to_json() == exhaustive_loop(g, "main").to_json()
 
 
 def test_exhaustive_walk_settles_full_sigma_subtrees():
@@ -141,7 +169,8 @@ def test_exhaustive_walk_settles_full_sigma_subtrees():
     assert 2 * (walk.nodes + settled) == 1 << 16
 
 
-def test_exhaustive_main_walks_one_subset_per_orbit(monkeypatch):
+@pytest.mark.parametrize("spec, nodes", [("Z16", 443), ("Z4xZ4", 96), ("Z2xZ2xZ2xZ2", 10)])
+def test_exhaustive_main_walks_one_subset_per_orbit(spec, nodes, monkeypatch):
     walks = []
 
     def counted(*args, **kwargs):
@@ -149,9 +178,9 @@ def test_exhaustive_main_walks_one_subset_per_orbit(monkeypatch):
         return walks[-1]
 
     monkeypatch.setattr(verify, "subset_walk", counted)
-    run = exhaustive_theorem(make_group([16]), "main")
+    run = exhaustive_theorem(parse_group(spec), "main")
     [walk] = walks
-    assert walk.nodes == 443
+    assert walk.nodes == nodes
     assert run.stats["instances"] == 1 << 16
 
 
