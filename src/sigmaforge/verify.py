@@ -13,6 +13,8 @@ function that takes it:
 - `extremal_search`: the search's pruning and its hill-climb;
 - `_completeness`: `olson_check`/`vu_check`, one `subset_sums` per
   instance;
+- `_sample`: `Random.sample`'s draws without a `_randbelow` call per
+  element;
 - `_verify`: the driver of the other verifiers.
 """
 
@@ -299,6 +301,48 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
     )
 
 
+def _sample(rng, population, k):
+    """`rng.sample(population, k)`, drawn straight from `rng.getrandbits`.
+
+    Mirrors CPython's `Random.sample`: a partial Fisher-Yates shuffle of a
+    pool when n <= `setsize`, else redraws of any index already picked.
+    Each `_randbelow(m)` is inlined as `getrandbits(m.bit_length())`,
+    redrawn while >= m, so the stream is consumed word for word as `sample`
+    consumes it, and the result and the state left in `rng` are the same.
+    That holds for a plain `random.Random`, whose `_randbelow` is the
+    `getrandbits` version; callers pass nothing else.  The set branch's one
+    loop rejects an out-of-range word and a repeated index alike, as the
+    two nested loops of `sample` do.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result = [None] * k
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        for i in range(k):
+            m = n - i
+            j = getrandbits(m.bit_length())
+            while j >= m:
+                j = getrandbits(m.bit_length())
+            result[i] = pool[j]
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        selected = set()
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result[i] = population[j]
+    return result
+
+
 def _kneser_text(inst):
     """The literal `spec:x;y;...|...` of a Kneser instance, piece by piece."""
     g, sets = inst
@@ -357,7 +401,7 @@ def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun
             sets = []
             for _ in range(rng.randint(1, m_max)):
                 size = rng.randint(1, g.order)
-                sets.append(GroupSet.from_indices(g, rng.sample(range(g.order), size)))
+                sets.append(GroupSet.from_indices(g, _sample(rng, range(g.order), size)))
             yield g, sets
 
     def evaluate(inst):
@@ -429,7 +473,7 @@ def _completeness(group, instances, mask_of=sum, **run_fields) -> VerificationRu
     or as indices (sampled `vu_check`), and `mask_of` turns it into its
     bitmap in one C-level pass: `sum` for bits, `sum(map(bit, ...))` for
     indices.  The members are distinct in-range ints (`combinations` of the
-    nonzero elements or of the units, or `sorted(rng.sample(units, k))`),
+    nonzero elements or of the units, or `sorted(_sample(rng, units, k))`),
     so the sum of their bits equals their OR and needs no
     `GroupSet.from_indices` check; `GroupSet` still rejects a bit outside
     the group.  a -> 1 << a is increasing, so bit tuples compare as their
@@ -557,7 +601,7 @@ def vu_check(
     def sampled():
         rng = random.Random(seed)
         for _ in range(sample):
-            yield tuple(sorted(rng.sample(units, rng.randint(t, phi))))
+            yield tuple(sorted(_sample(rng, units, rng.randint(t, phi))))
 
     return _completeness(
         group, sampled(), lambda idxs: sum(map(bit, idxs)), extra_stats=extra,
@@ -664,7 +708,7 @@ def extremal_search(
         mode = f"hillclimb(seed={seed},restarts={restarts})"
         rng = random.Random(seed)
         for _ in range(restarts):
-            current = sum(1 << i for i in rng.sample(nonzero, k))
+            current = sum(1 << i for i in _sample(rng, nonzero, k))
             sigma = subset_sums(GroupSet(group, current)).mask
             step = (sigma.bit_count(), current) if feasible(sigma) else None
             while True:

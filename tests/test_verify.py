@@ -6,7 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sigmaforge import (
     BoundReport,
@@ -28,7 +28,7 @@ from sigmaforge import (
     vu_check,
 )
 from sigmaforge.setcalc import subset_walk
-from sigmaforge.verify import _KneserKey, _precedes, _text_lt, vu_threshold
+from sigmaforge.verify import _KneserKey, _precedes, _sample, _text_lt, vu_threshold
 import conftest
 from conftest import (
     CountedWalk,
@@ -347,10 +347,40 @@ def test_text_lt_ignores_piece_boundaries():
 
 
 def test_random_kneser_matches_literal_key_loop():
-    groups = [make_group([6]), parse_group("Z2xZ2"), make_group([8]), parse_group("Z3xZ3")]
+    # Z24 and Z2^7 draw sets of both `_sample` branches; the rest, pools only
+    groups = [
+        make_group([6]), parse_group("Z2xZ2"), make_group([8]), parse_group("Z3xZ3"),
+        make_group([24]), make_group([2] * 7),
+    ]
     for seed in range(30):
         run = random_kneser(groups, m_max=3, trials=30, seed=seed)
         assert run.to_json() == kneser_loop(groups, 3, 30, seed).to_json(), seed
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["range", "list"])
+@given(
+    nk=st.integers(1, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    seed=st.integers(0, 2**32),
+)
+@example(nk=(21, 5), seed=0)  # pool: n = setsize without the k > 5 term
+@example(nk=(22, 5), seed=0)  # set
+@example(nk=(85, 6), seed=0)  # pool: n = 21 + 4^ceil(log4(18))
+@example(nk=(86, 6), seed=0)  # set
+@example(nk=(1, 1), seed=0)
+@example(nk=(7, 0), seed=0)
+def test_sample_matches_random_sample(as_list, nk, seed):
+    n, k = nk
+    population = list(range(0, 3 * n, 3)) if as_list else range(n)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _sample(ours, population, k) == theirs.sample(population, k)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_sample_rejects_sizes_outside_the_population():
+    # unchecked, k > n would redraw forever once the pool is empty
+    for k in (-1, 4, 100):
+        with pytest.raises(ValueError, match="Sample larger"):
+            _sample(random.Random(0), range(3), k)
 
 
 def test_random_runs_deterministic():
