@@ -6,7 +6,10 @@ diagnostics go to stderr.  Every option a command accepts is read: each
 `verify` theorem has its own sub-parser that declares exactly the options
 that theorem reads, and `bound` refuses (`_reject_unread`) the options its
 `--which` does not read, so an unread option exits 2 instead of being
-ignored.
+ignored.  One exception: `verify vu` accepts `--sample` and `--seed` on
+every n but reads them only when the qualifying subsets exceed
+`verify.VU_ENUM_CAP`.  Below it, `--n 73 --sample 10 --seed 1` runs
+exhaustively and exits 0; only a `--sample` below 1 still exits 2.
 """
 
 from __future__ import annotations

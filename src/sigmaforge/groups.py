@@ -20,7 +20,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from itertools import accumulate, permutations, product
+from itertools import accumulate
 
 DEFAULT_MAX_ORDER = 1 << 20
 _MAX_ORDER_ENV = "SIGMAFORGE_MAX_ORDER"
@@ -480,51 +480,42 @@ def _join(group: Group, h: int, gens: int) -> int:
 
 
 def _automorphism_images(group: Group) -> list:
-    """Index tables of automorphisms of G, bar the identity: scalings and shears.
+    """Index tables of elementary automorphisms of G, each editing one or two digits.
 
-    The scalings x -> (u_1·x_pi(1), ..., u_k·x_pi(k)) have u_i a unit mod
-    n_i and pi permuting only coordinates of equal moduli n_i > 1; there
-    are prod phi(n_i) · prod (multiplicity)! of them, the multiplicities
-    those of the moduli > 1.  A digit with n_i = 1 is always 0 and stays
-    fixed.  The shears x_i -> x_i + c·x_j (i != j, 0 < c < n_i) are well
-    defined iff n_i | c·n_j, so c runs over the gcd(n_i, n_j) - 1 nonzero
-    multiples of n_i / gcd(n_i, n_j); each is additive, with the shear by
-    -c as its inverse.  The maps are distinct: a scaling sends each e_j to
-    u_i·e_i at the digit i with pi(i) = j, a shear moves e_j alone, to
-    e_j + c·e_i.  Table t has t[x] = the index of the image of x.
+    - Scalings x_i -> u·x_i, u a unit mod n_i other than 1: additive, with
+      the scaling by u^-1 as inverse.
+    - Swaps x_i <-> x_j, i < j, n_i = n_j > 1: additive, each its own
+      inverse.
+    - Shears x_i -> x_i + c·x_j (i != j, 0 < c < n_i), well defined iff
+      n_i | c·n_j, so c runs over the gcd(n_i, n_j) - 1 nonzero multiples
+      of n_i / gcd(n_i, n_j): additive, with the shear by -c as inverse.
+    No map is the identity and no two are equal: a scaling moves e_i alone,
+    to u·e_i; a shear moves e_j alone, to e_j + c·e_i, off e_j's axis; a
+    swap moves e_i and e_j both.  A digit with n_i = 1 is always 0, and no
+    map edits it.  The maps need not form a group: by the proofs in
+    `setcalc.subset_walk` any set of injective maps reaches every canonical
+    set, and any set of automorphisms, which keep |Sigma|, |H| and
+    |A \\ H|, gives the orderly `main`/`corollary` the same output; more
+    maps only prune more.  Table t has t[x] = the index of the image of x:
+    x plus each edited digit's change times its stride, so (x_j - x_i)·
+    (s_i - s_j) for a swap.
     """
-    classes = {}  # n > 1 -> the coordinates of modulus n
-    for i, n in enumerate(group.factors):
-        if n > 1:
-            classes.setdefault(n, []).append(i)
-    if not classes:
-        return []  # Z1
-    identity = tuple(range(group.order))
-    digits = [[x // s % n for x in identity] for n, s in zip(group.factors, group.strides)]
-    # share[i, j]: per unit u mod n_i, digit i's part of the index of every
-    # image, for maps that put u·x_j at digit i (n_j = n_i)
-    share = {
-        (i, j): [
-            tuple(u * d % n * group.strides[i] for d in digits[j])
-            for u in range(n) if math.gcd(u, n) == 1
+    every = range(group.order)
+    digits = [[x // s % n for x in every] for n, s in zip(group.factors, group.strides)]
+    changes = []  # per map, the change of each index x
+    for i, (n, s) in enumerate(zip(group.factors, group.strides)):
+        changes += [
+            [(u * a % n - a) * s for a in digits[i]] for u in range(2, n) if math.gcd(u, n) == 1
         ]
-        for n, coords in classes.items() for i in coords for j in coords
-    }
-    tables = []
-    for perms in product(*map(permutations, classes.values())):
-        pairs = [(i, j) for coords, p in zip(classes.values(), perms) for i, j in zip(coords, p)]
-        for picks in product(*(share[pair] for pair in pairs)):
-            table = tuple(map(sum, zip(*picks)))
-            if table != identity:
-                tables.append(table)
-    for i, j in permutations(range(len(digits)), 2):
-        n, s = group.factors[i], group.strides[i]
-        step = n // math.gcd(n, group.factors[j])
-        for c in range(step, n, step):  # none unless n_i, n_j > 1
-            tables.append(tuple(
-                x + ((a + c * b) % n - a) * s for x, a, b in zip(identity, digits[i], digits[j])
-            ))
-    return tables
+        for j, (m, r) in enumerate(zip(group.factors, group.strides)):
+            if i < j and n == m > 1:
+                changes.append([(b - a) * (s - r) for a, b in zip(digits[i], digits[j])])
+            step = n // math.gcd(n, m)
+            changes += [
+                [((a + c * b) % n - a) * s for a, b in zip(digits[i], digits[j])]
+                for c in range(step, n, step) if i != j
+            ]
+    return [tuple(map(operator.add, every, change)) for change in changes]
 
 
 def _torsion_mask(group: Group, d: int) -> int:

@@ -169,7 +169,10 @@ def test_exhaustive_walk_settles_full_sigma_subtrees():
     assert 2 * (walk.nodes + settled) == 1 << 16
 
 
-@pytest.mark.parametrize("spec, nodes", [("Z16", 443), ("Z4xZ4", 96), ("Z2xZ2xZ2xZ2", 10)])
+@pytest.mark.parametrize("spec, nodes", [
+    ("Z16", 443), ("Z4xZ4", 96), ("Z2xZ2xZ2xZ2", 10),
+    ("Z2xZ2xZ2xZ2xZ2", 63), ("Z2xZ2xZ2xZ4", 1_128), ("Z2xZ4xZ4", 4_360),
+])
 def test_exhaustive_main_walks_one_subset_per_orbit(spec, nodes, monkeypatch):
     walks = []
 
@@ -178,10 +181,11 @@ def test_exhaustive_main_walks_one_subset_per_orbit(spec, nodes, monkeypatch):
         return walks[-1]
 
     monkeypatch.setattr(verify, "subset_walk", counted)
-    run = exhaustive_theorem(parse_group(spec), "main")
+    g = parse_group(spec)
+    run = exhaustive_theorem(g, "main")
     [walk] = walks
     assert walk.nodes == nodes
-    assert run.stats["instances"] == 1 << 16
+    assert run.stats["instances"] == 1 << g.order
 
 
 def test_random_kneser_runs_clean():
