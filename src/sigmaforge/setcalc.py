@@ -66,11 +66,15 @@ class SequenceMS:
     def is_distinct(self) -> bool:
         return all(m == 1 for m in self.mult.values())
 
+    def literal_pieces(self):
+        """The text of `literal()` lazily: `x:m` per distinct term, `;` between."""
+        g, sep = self.group, ""
+        for i, m in sorted(self.mult.items()):
+            yield f"{sep}{g.element_literal(i)}:{m}"
+            sep = ";"
+
     def literal(self) -> str:
-        g = self.group
-        return ";".join(
-            f"{g.element_literal(i)}:{m}" for i, m in sorted(self.mult.items())
-        )
+        return "".join(self.literal_pieces())
 
     def __eq__(self, other):
         return (

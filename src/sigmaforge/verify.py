@@ -13,8 +13,8 @@ function that takes it:
 - `extremal_search`: the search's pruning and its hill-climb;
 - `_completeness`: `olson_check`/`vu_check`, one `subset_sums` per
   instance;
-- `_sample`: `Random.sample`'s draws without a `_randbelow` call per
-  element;
+- `_sample`: the bitmap of the set `Random.sample` draws, with no
+  `_randbelow` call or result list per element;
 - `_verify`: the driver of the other verifiers.
 """
 
@@ -24,7 +24,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product, zip_longest
+from functools import partial
+from itertools import chain, combinations, compress, product, zip_longest
 
 from .groups import (
     CapacityError,
@@ -75,22 +76,12 @@ class VerificationRun:
         return "counterexample" if self.counterexamples else "verified"
 
     def to_dict(self, with_timing: bool = False) -> dict:
-        stats = {k: v for k, v in self.stats.items()}
+        stats = dict(self.stats)
         if with_timing:
             stats["millis"] = self.millis
-        out = {
-            "theorem": self.theorem,
-            "group": self.group,
-            "mode": self.mode,
-            "counterexamples": self.counterexamples,
-            "stats": stats,
-            "verdict": self.verdict,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.trials is not None:
-            out["trials"] = self.trials
-        return out
+        # seed and trials only when set; millis only in stats, on request
+        out = {k: v for k, v in vars(self).items() if v is not None and k != "millis"}
+        return {**out, "stats": stats, "verdict": self.verdict}
 
     def to_json(self, with_timing: bool = False) -> str:
         # timing is excluded by default so identical runs serialize
@@ -113,22 +104,11 @@ class ExtremalRecord:
     restarts: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "group": self.group,
-            "k": self.k,
-            "mode": self.mode,
-            "feasible": self.feasible,
-            "best_set": self.best_set,
-            "sigma_size": self.sigma_size,
-            "stabilizer_size": self.stabilizer_size,
-            "ratio_num": self.ratio_num,
-            "ratio_den": self.ratio_den,
+        # every field, but seed and restarts only when set
+        return {
+            k: v for k, v in vars(self).items()
+            if v is not None or k not in ("seed", "restarts")
         }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.restarts is not None:
-            out["restarts"] = self.restarts
-        return out
 
     def to_json(self) -> str:
         return _canonical_json(self.to_dict())
@@ -301,46 +281,52 @@ def _subset_theorem(group: Group, theorem: str) -> VerificationRun:
     )
 
 
-def _sample(rng, population, k):
-    """`rng.sample(population, k)`, drawn straight from `rng.getrandbits`.
+def _sample(rng, n, k):
+    """The bitmap of the set `rng.sample(range(n), k)` draws, from `rng.getrandbits`.
 
     Mirrors CPython's `Random.sample`: a partial Fisher-Yates shuffle of a
     pool when n <= `setsize`, else redraws of any index already picked.
     Each `_randbelow(m)` is inlined as `getrandbits(m.bit_length())`,
     redrawn while >= m, so the stream is consumed word for word as `sample`
-    consumes it, and the result and the state left in `rng` are the same.
-    That holds for a plain `random.Random`, whose `_randbelow` is the
-    `getrandbits` version; callers pass nothing else.  The set branch's one
-    loop rejects an out-of-range word and a repeated index alike, as the
-    two nested loops of `sample` do.
+    consumes it, and the drawn set and the state left in `rng` are the same
+    (for a plain `random.Random`, whose `_randbelow` is that one).  The set
+    branch's one loop rejects an out-of-range word and a repeated index
+    alike, as the two nested loops of `sample` do.  Drawn indices are
+    flagged "1" in a bytearray (the set branch's membership test too), which
+    `int(..., 2)` reads; a `map` of `flags.__setitem__` costs more per flag
+    than the loop's item store.
     """
-    n = len(population)
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
+    if not k:  # also n = 0, where int(b"", 2) raises
+        return 0
     getrandbits = rng.getrandbits
-    result = [None] * k
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    flags = bytearray(b"0") * n
     if n <= setsize:
-        pool = list(population)
-        for i in range(k):
-            m = n - i
-            j = getrandbits(m.bit_length())
-            while j >= m:
-                j = getrandbits(m.bit_length())
-            result[i] = pool[j]
-            pool[j] = pool[m - 1]
+        pool = list(range(n))
+        top, stop = n - 1, n - k - 1  # top = m - 1
+        while top > stop:
+            bits = (top + 1).bit_length()
+            low = max(stop, (1 << bits - 1) - 2)  # m >= 2^(bits - 1) in this run
+            for top in range(top, low, -1):
+                j = getrandbits(bits)
+                while j > top:
+                    j = getrandbits(bits)
+                flags[pool[j]] = 49  # ord("1")
+                pool[j] = pool[top]
+            top = low
     else:
         bits = n.bit_length()
-        selected = set()
-        for i in range(k):
+        for _ in range(k):
             j = getrandbits(bits)
-            while j >= n or j in selected:
+            while j >= n or flags[j] == 49:
                 j = getrandbits(bits)
-            selected.add(j)
-            result[i] = population[j]
-    return result
+            flags[j] = 49
+    flags.reverse()
+    return int(flags, 2)
 
 
 def _kneser_text(inst):
@@ -366,20 +352,21 @@ def _text_lt(xs, ys) -> bool:
     return next((a < b for a, b in pairs if a != b), False)
 
 
-class _KneserKey:
-    """Orders Kneser instances exactly as their literals, compared lazily.
+class _TextKey:
+    """Orders instances as their literals, `"".join(pieces(inst))`, read lazily.
 
-    Slack ties are common (Kneser equality), and a literal can list
-    thousands of elements, while two instances usually differ early.
+    Slack ties are common (Kneser equality; on Z2^n every sequence ties at
+    0, as Sigma is a subgroup), and a literal can list thousands of
+    elements, while two instances usually differ early.
     """
 
-    __slots__ = ("inst",)
+    __slots__ = ("pieces", "inst")
 
-    def __init__(self, inst):
-        self.inst = inst
+    def __init__(self, pieces, inst):
+        self.pieces, self.inst = pieces, inst
 
     def __lt__(self, other):
-        return _text_lt(_kneser_text(self.inst), _kneser_text(other.inst))
+        return _text_lt(self.pieces(self.inst), other.pieces(other.inst))
 
 
 def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun:
@@ -401,7 +388,7 @@ def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun
             sets = []
             for _ in range(rng.randint(1, m_max)):
                 size = rng.randint(1, g.order)
-                sets.append(GroupSet.from_indices(g, _sample(rng, range(g.order), size)))
+                sets.append(GroupSet(g, _sample(rng, g.order, size)))
             yield g, sets
 
     def evaluate(inst):
@@ -416,7 +403,7 @@ def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun
         return "".join(_kneser_text(inst))
 
     return _verify(
-        instances(), evaluate, literal, key=_KneserKey,
+        instances(), evaluate, literal, key=partial(_TextKey, _kneser_text),
         theorem="kneser", group=";".join(g.spec() for g in groups),
         mode="random", seed=seed, trials=trials,
     )
@@ -425,7 +412,7 @@ def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun
 def random_sequence_theorem(
     group: Group, n_max: int, trials: int, seed: int
 ) -> VerificationRun:
-    """Seeded random sequences of length <= n_max, elements uniform."""
+    """Seeded random sequences of length <= n_max, terms drawn as `randrange` draws."""
     if seed is None:
         raise ValueError("random_sequence_theorem requires a seed")
     if trials < 1:
@@ -435,9 +422,15 @@ def random_sequence_theorem(
 
     def instances():
         rng = random.Random(seed)
+        getrandbits, order = rng.getrandbits, group.order
+        bits = order.bit_length()
         for _ in range(trials):
-            length = rng.randint(0, n_max)
-            terms = [rng.randrange(group.order) for _ in range(length)]
+            terms = []
+            for _ in range(rng.randint(0, n_max)):
+                x = getrandbits(bits)
+                while x >= order:
+                    x = getrandbits(bits)
+                terms.append(x)
             yield SequenceMS.from_terms(group, terms)
 
     def evaluate(a):
@@ -447,7 +440,8 @@ def random_sequence_theorem(
         return rep.lhs - rep.rhs, {"sequence": a.literal(), "report": rep.to_dict()}
 
     return _verify(
-        instances(), evaluate, SequenceMS.literal, key=SequenceMS.literal,
+        instances(), evaluate, SequenceMS.literal,
+        key=partial(_TextKey, SequenceMS.literal_pieces),
         theorem="sequence", group=group.spec(),
         mode="random", seed=seed, trials=trials,
     )
@@ -473,7 +467,7 @@ def _completeness(group, instances, mask_of=sum, **run_fields) -> VerificationRu
     or as indices (sampled `vu_check`), and `mask_of` turns it into its
     bitmap in one C-level pass: `sum` for bits, `sum(map(bit, ...))` for
     indices.  The members are distinct in-range ints (`combinations` of the
-    nonzero elements or of the units, or `sorted(_sample(rng, units, k))`),
+    nonzero elements or of the units, or the units a `_sample` bitmap picks),
     so the sum of their bits equals their OR and needs no
     `GroupSet.from_indices` check; `GroupSet` still rejects a bit outside
     the group.  a -> 1 << a is increasing, so bit tuples compare as their
@@ -599,9 +593,11 @@ def vu_check(
     bit = (1).__lshift__
 
     def sampled():
+        # bit i of a draw picks units[i]; one ascending scan of its digits
         rng = random.Random(seed)
         for _ in range(sample):
-            yield tuple(sorted(_sample(rng, units, rng.randint(t, phi))))
+            drawn = bin(_sample(rng, phi, rng.randint(t, phi)))[:1:-1]
+            yield tuple(compress(units, map("1".__eq__, drawn)))
 
     return _completeness(
         group, sampled(), lambda idxs: sum(map(bit, idxs)), extra_stats=extra,
@@ -708,7 +704,7 @@ def extremal_search(
         mode = f"hillclimb(seed={seed},restarts={restarts})"
         rng = random.Random(seed)
         for _ in range(restarts):
-            current = sum(1 << i for i in _sample(rng, nonzero, k))
+            current = _sample(rng, len(nonzero), k) << 1  # position i is element i + 1
             sigma = subset_sums(GroupSet(group, current)).mask
             step = (sigma.bit_count(), current) if feasible(sigma) else None
             while True:

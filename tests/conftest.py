@@ -14,15 +14,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 from sigmaforge import (
     ExtremalRecord,
     GroupSet,
+    SequenceMS,
     make_group,
     VerificationRun,
     corollary_bound,
     kneser_bound,
     main_bound_check,
+    sequence_bound_check,
     stabilizer,
     subset_sums,
 )
@@ -311,6 +314,33 @@ def kneser_loop(groups, m_max, trials, seed):
         theorem="kneser", group=";".join(g.spec() for g in groups),
         mode="random", counterexamples=counterexamples, stats=stats,
         seed=seed, trials=trials,
+    )
+
+
+def sequence_loop(group, n_max, trials, seed):
+    """`random_sequence_theorem` with the whole literal as the tie-break key.
+
+    Draws each term with `rng.randrange` and formats every literal in full
+    (`x:m` per distinct term, by index); the witness is the least
+    (slack, literal).
+    """
+    rng = random.Random(seed)
+    counterexamples = []
+    best = None  # (slack, literal)
+    for _ in range(trials):
+        terms = [rng.randrange(group.order) for _ in range(rng.randint(0, n_max))]
+        mult = sorted(Counter(terms).items())
+        literal = ";".join(f"{group.element_literal(x)}:{m}" for x, m in mult)
+        rep = sequence_bound_check(SequenceMS.from_terms(group, terms))
+        if not rep.holds:
+            counterexamples.append({"sequence": literal, "report": rep.to_dict()})
+        key = (rep.lhs - rep.rhs, literal)
+        if best is None or key < best:
+            best = key
+    stats = {"instances": trials, "min_slack": best[0], "witness": best[1]}
+    return VerificationRun(
+        theorem="sequence", group=group.spec(), mode="random",
+        counterexamples=counterexamples, stats=stats, seed=seed, trials=trials,
     )
 
 

@@ -12,6 +12,7 @@ from sigmaforge import (
     BoundReport,
     CapacityError,
     GroupSet,
+    SequenceMS,
     bounds,
     exhaustive_theorem,
     extremal_search,
@@ -28,7 +29,7 @@ from sigmaforge import (
     vu_check,
 )
 from sigmaforge.setcalc import subset_walk
-from sigmaforge.verify import _KneserKey, _precedes, _sample, _text_lt, vu_threshold
+from sigmaforge.verify import _TextKey, _kneser_text, _precedes, _sample, _text_lt, vu_threshold
 import conftest
 from conftest import (
     CountedWalk,
@@ -39,6 +40,7 @@ from conftest import (
     kneser_loop,
     naive_sigma,
     search_loop,
+    sequence_loop,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -333,7 +335,32 @@ def test_kneser_key_orders_as_literals():
     for a in instances:
         for b in instances:
             lit_a, lit_b = _kneser_literal(a), _kneser_literal(b)
-            assert (_KneserKey(a) < _KneserKey(b)) == (lit_a < lit_b), (lit_a, lit_b)
+            key_a, key_b = _TextKey(_kneser_text, a), _TextKey(_kneser_text, b)
+            assert (key_a < key_b) == (lit_a < lit_b), (lit_a, lit_b)
+
+    z2_3 = parse_group("Z2xZ2xZ2")
+    sequences = [
+        SequenceMS(z16, {1: 1}),  # "1:1", a prefix of the next two
+        SequenceMS(z16, {1: 10}),  # "1:10"
+        SequenceMS(z16, {1: 1, 2: 1}),  # "1:1;2:1" > "1:10", as ";" > "0"
+        SequenceMS(z16, {10: 1}),  # "10:1" < "1:1", as "0" < ":"
+        SequenceMS(z16, {}),  # "", a prefix of every literal
+        SequenceMS(z4x4, {1: 1}),  # "1,0:1"
+        SequenceMS(z4x4, {4: 1}),  # "0,1:1"
+        SequenceMS(z4x4, {1: 2, 4: 1}),
+        SequenceMS(z2_3, {1: 1, 2: 3}),
+        SequenceMS(z2_3, {1: 1, 6: 1}),
+    ]
+    for _ in range(30):
+        g = rng.choice([z16, z4x4, z2_3])
+        terms = [rng.randrange(g.order) for _ in range(rng.randint(0, 12))]
+        sequences.append(SequenceMS.from_terms(g, terms))
+    pieces = SequenceMS.literal_pieces
+    for a in sequences:
+        for b in sequences:
+            lit_a, lit_b = a.literal(), b.literal()
+            assert lit_a == "".join(pieces(a))
+            assert (_TextKey(pieces, a) < _TextKey(pieces, b)) == (lit_a < lit_b), (lit_a, lit_b)
 
 
 def test_text_lt_ignores_piece_boundaries():
@@ -363,7 +390,7 @@ def test_random_kneser_matches_literal_key_loop():
 
 @pytest.mark.parametrize("as_list", [False, True], ids=["range", "list"])
 @given(
-    nk=st.integers(1, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    nk=st.integers(0, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
     seed=st.integers(0, 2**32),
 )
 @example(nk=(21, 5), seed=0)  # pool: n = setsize without the k > 5 term
@@ -372,11 +399,24 @@ def test_random_kneser_matches_literal_key_loop():
 @example(nk=(86, 6), seed=0)  # set
 @example(nk=(1, 1), seed=0)
 @example(nk=(7, 0), seed=0)
+@example(nk=(0, 0), seed=0)  # no flags at all: int(b"", 2) would raise
+@example(nk=(4096, 4096), seed=0)  # k = n: every element drawn
 def test_sample_matches_random_sample(as_list, nk, seed):
+    """`_sample` is the bitmap of the set `Random.sample` draws.
+
+    With `as_list`, the bitmap's positions index a list population, as
+    sampled `vu_check` reads them; the drawn members are those of
+    `Random.sample` on that list.
+    """
     n, k = nk
-    population = list(range(0, 3 * n, 3)) if as_list else range(n)
     ours, theirs = random.Random(seed), random.Random(seed)
-    assert _sample(ours, population, k) == theirs.sample(population, k)
+    mask = _sample(ours, n, k)
+    if as_list:
+        population = list(range(0, 3 * n, 3))
+        drawn = set(theirs.sample(population, k))
+        assert {population[i] for i in range(n) if mask >> i & 1} == drawn
+    else:
+        assert mask == sum(1 << x for x in set(theirs.sample(range(n), k)))
     assert ours.getstate() == theirs.getstate()
 
 
@@ -384,7 +424,36 @@ def test_sample_rejects_sizes_outside_the_population():
     # unchecked, k > n would redraw forever once the pool is empty
     for k in (-1, 4, 100):
         with pytest.raises(ValueError, match="Sample larger"):
-            _sample(random.Random(0), range(3), k)
+            _sample(random.Random(0), 3, k)
+
+
+def test_random_sequence_theorem_matches_literal_key_loop():
+    # on Z2^3 and Z2^4 every slack ties at 0 (Sigma is a subgroup, so
+    # Sigma = H), so the lazy key alone picks the witness
+    for spec in ("Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z12", "Z6xZ6"):
+        g = parse_group(spec)
+        for seed in range(30):
+            run = random_sequence_theorem(g, 8, 25, seed=seed)
+            assert run.to_json() == sequence_loop(g, 8, 25, seed).to_json(), (spec, seed)
+
+
+def test_seeded_verifiers_make_no_draw_per_element(monkeypatch):
+    # terms and set members come from `getrandbits`, not `_randbelow`
+    calls = 0
+    randbelow = random.Random._randbelow
+
+    def counting(self, n):
+        nonlocal calls
+        calls += 1
+        return randbelow(self, n)
+
+    monkeypatch.setattr(random.Random, "_randbelow", counting)
+    random_sequence_theorem(make_group([4096]), 40, 50, seed=1)
+    assert calls == 50  # one randint per trial: the length
+    calls = 0
+    groups = [make_group([1024]), parse_group("Z32xZ32"), make_group([24])]
+    random_kneser(groups, 3, 50, seed=1)
+    assert 0 < calls <= (2 + 3) * 50  # choice, randint(1, m_max), one randint per set
 
 
 def test_random_runs_deterministic():
