@@ -3,9 +3,10 @@
 A group Z_{n1} x ... x Z_{nk} stores its elements as mixed-radix indices
 in [0, order), so that subsets can live in flat bitmaps (python ints), and
 translating a subset is a per-digit rotation of its bitmap (`_shift_mask`).
-A `Group` is immutable: per invariant factor it keeps one bitmap of block
-starts, and each rotation derives its mask from it, so translating by any
-number of distinct elements stores nothing.
+A `Group` is immutable: per invariant factor it keeps a bitmap of block
+starts and the kept mask of a rotation by 1, and each other rotation
+derives its mask from the block starts, so translating by any number of
+distinct elements stores nothing.
 Every subset of a group is a `GroupSet` on that bitmap; a `Subgroup` is a
 `GroupSet` known to be closed, so a subgroup equals, hashes like and adds
 with the plain set of the same elements.  A quotient G/H is an ordinary
@@ -84,15 +85,17 @@ class Group:
         self.order = order
         self.strides = tuple(strides)
         self.full_mask = (1 << order) - 1
-        # (n, stride, block starts) per digit; the block starts are the
-        # indices whose digits at and below this one are all 0
+        # (n, stride, block starts, keep1) per digit; the block starts are the
+        # indices whose digits at and below this one are all 0, and keep1 the
+        # indices whose digit is below n - 1 (a rotation by 1 keeps them)
         digits = []
         for n, stride in zip(factors, strides):
             unit, width = 1, n * stride
             while width < order:
                 unit |= unit << width
                 width *= 2
-            digits.append((n, stride, unit & self.full_mask))
+            unit &= self.full_mask
+            digits.append((n, stride, unit, (unit << (n - 1) * stride) - unit))
         self._digits = tuple(digits)
 
     # -- element arithmetic on raw indices ---------------------------------
@@ -162,7 +165,9 @@ def _shift_mask(group: Group, mask: int, g: int) -> int:
     positions of each block move up by `up` = s*stride, the rest move down
     by `down`.  For block starts u (bits one block apart) and x < block,
     (u << x) - u = (2^x - 1)·u has exactly the low x positions of every
-    block set, and no carry crosses a block.
+    block set, and no carry crosses a block.  For s = 1, down =
+    (n - 1)*stride: the kept mask is the stored `keep1`, which every
+    rotation on Z2^k (where s is always 1) reads.
 
     On Z_n (one invariant factor) the one block is the whole group, so bit
     i moves to i + g when i < n - g and to i + g - n otherwise: the
@@ -173,11 +178,11 @@ def _shift_mask(group: Group, mask: int, g: int) -> int:
         return mask
     if len(group.factors) == 1:
         return ((mask << g) & group.full_mask) | (mask >> (group.order - g))
-    for n, stride, unit in group._digits:
+    for n, stride, unit, keep1 in group._digits:
         if s := g // stride % n:
             up = s * stride
             down = n * stride - up
-            kept = mask & ((unit << down) - unit)
+            kept = mask & (keep1 if s == 1 else (unit << down) - unit)
             mask = (kept << up) | ((mask ^ kept) >> down)
     return mask
 
@@ -192,10 +197,11 @@ def _shift_plan(group: Group, g: int) -> tuple:
     `kept = mask & ((unit << down) - unit)`, then
     `mask = (kept << up) | ((mask ^ kept) >> down)`.  `_shift_mask` stays
     the single-shot kernel and builds no plan, which would cost a tuple
-    per call.
+    per call.  Nor does it hold kept masks: one per element and digit is
+    about 4 MB on a Z64xZ64 search.
     """
     plan = []
-    for n, stride, unit in group._digits:
+    for n, stride, unit, _ in group._digits:
         if s := g // stride % n:
             up = s * stride
             plan.append((up, n * stride - up, unit))
@@ -591,7 +597,7 @@ def quotient(group: Group, H: GroupSet) -> Quotient:
     H = _as_subgroup(group, H)
     k = len(group.factors)
     rows = []
-    for level, (n, stride, unit) in enumerate(group._digits):
+    for level, (n, stride, unit, _) in enumerate(group._digits):
         rows.append([n * (j == level) for j in range(k)])
         low = [c for c in range(1, math.isqrt(n) + 1) if n % c == 0]
         for c in sorted({*low, *(n // c for c in low)})[:-1]:  # divisors < n

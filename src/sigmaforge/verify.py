@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations, compress, product, zip_longest
@@ -412,7 +413,11 @@ def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun
 def random_sequence_theorem(
     group: Group, n_max: int, trials: int, seed: int
 ) -> VerificationRun:
-    """Seeded random sequences of length <= n_max, terms drawn as `randrange` draws."""
+    """Seeded random sequences of length <= n_max, terms drawn as `randrange` draws.
+
+    The rejection loop keeps each term an int in range(|G|), so `mult` is the
+    plain `Counter` of the terms, with none of the constructor's checks.
+    """
     if seed is None:
         raise ValueError("random_sequence_theorem requires a seed")
     if trials < 1:
@@ -431,7 +436,9 @@ def random_sequence_theorem(
                 while x >= order:
                     x = getrandbits(bits)
                 terms.append(x)
-            yield SequenceMS.from_terms(group, terms)
+            seq = SequenceMS(group)
+            seq.mult = Counter(terms)
+            yield seq
 
     def evaluate(a):
         rep = sequence_bound_check(a)

@@ -50,6 +50,16 @@ assert m["verify.evaluations_per_instance"] == 1.0, m
 assert m["groups.quotient.calls"] == 0, m
 """
 
+# the Z2^k sequence call's rotations sit in these layers' self times
+SEQUENCE = """
+verify.random_sequence_theorem(make_group([2] * 6), 10, 20, seed=1)
+m = tracer.layer_metrics(1.0)
+assert m["verify.instances"] == 20, m
+assert m["setcalc.subsequence_sums.self_s"] > 0, m
+assert m["setcalc.stabilizer.calls"] > 0, m
+assert m["setcalc.stabilizer.self_s"] > 0, m
+"""
+
 
 def run_traced(body):
     script = PREAMBLE.format(src=str(ROOT / "src"), bench=str(ROOT / "bench")) + body
@@ -69,3 +79,7 @@ def test_completeness_runs_one_subset_sums_per_instance():
 
 def test_sampled_vu_runs_one_subset_sums_per_instance():
     run_traced(SAMPLED_VU)
+
+
+def test_sequence_rotations_are_traced():
+    run_traced(SEQUENCE)

@@ -151,7 +151,7 @@ def test_sumset_matches_oracle(factors, data):
 @given(
     st.sampled_from(
         [(1,), (7,), (19,), (64,), (73,), (2,) * 5, (4, 8), (6, 4), (2, 4, 8),
-         (3, 3, 2)]
+         (3, 3, 2), (2,) * 12, (2, 2, 6), (2, 6, 6), (3, 9)]
     ),
     st.data(),
 )
@@ -162,6 +162,33 @@ def test_shift_mask_matches_add_index(factors, data):
     j = data.draw(st.integers(0, g.order - 1))
     want = gset(g, {g.add_index(i, j) for i in GroupSet(g, mask).members()})
     assert _shift_mask(g, mask, j) == want.mask
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2,) * 4, (2, 4), (3, 6), (2, 2, 4)],
+    ids=["Z2^4", "Z2xZ4", "Z3xZ6", "Z2xZ2xZ4"],
+)
+def test_shift_mask_moves_every_element_by_every_shift(factors):
+    # the rotation moves each bit on its own, so the single bits stand for
+    # every mask; the full set maps onto itself
+    g = make_group(factors)
+    for j in range(g.order):
+        for x in range(g.order):
+            assert _shift_mask(g, 1 << x, j) == 1 << g.add_index(x, j), (j, x)
+        assert _shift_mask(g, g.full_mask, j) == g.full_mask
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2,) * 12, (2, 4), (3, 6), (2, 2, 4), (2, 6, 6), (3, 9)],
+    ids=["Z2^12", "Z2xZ4", "Z3xZ6", "Z2xZ2xZ4", "Z2xZ6xZ6", "Z3xZ9"],
+)
+def test_stored_keep1_marks_digits_below_the_top(factors):
+    g = make_group(factors)
+    for n, stride, _, keep1 in g._digits:
+        want = sum(1 << x for x in range(g.order) if x // stride % n < n - 1)
+        assert keep1 == want, (n, stride)
 
 
 SUMSET_RSS_SCRIPT = """

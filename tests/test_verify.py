@@ -28,6 +28,7 @@ from sigmaforge import (
     verify,
     vu_check,
 )
+from sigmaforge import groups
 from sigmaforge.setcalc import subset_walk
 from sigmaforge.verify import _TextKey, _kneser_text, _precedes, _sample, _text_lt, vu_threshold
 import conftest
@@ -435,6 +436,23 @@ def test_random_sequence_theorem_matches_literal_key_loop():
         for seed in range(30):
             run = random_sequence_theorem(g, 8, 25, seed=seed)
             assert run.to_json() == sequence_loop(g, 8, 25, seed).to_json(), (spec, seed)
+    # the bench's groups and lengths, where the terms skip the constructor
+    for spec, n_max in (("x".join(["Z2"] * 12), 20), ("Z4096", 40)):
+        g = parse_group(spec)
+        for seed in range(3):
+            run = random_sequence_theorem(g, n_max, 8, seed=seed)
+            assert run.to_json() == sequence_loop(g, n_max, 8, seed).to_json(), (spec, seed)
+
+
+def test_random_sequence_theorem_checks_no_drawn_term(monkeypatch):
+    # the drawn terms are in-range ints by construction, so no term goes
+    # through the `SequenceMS` constructor's `_index_of`
+    calls = count_calls(monkeypatch, groups._index_of)
+    run = random_sequence_theorem(make_group([2] * 6), 12, 20, seed=3)
+    assert run.stats["instances"] == 20
+    assert calls == {"_index_of": 0}
+    SequenceMS.from_terms(make_group([2] * 6), [1, 2])  # the guard counts
+    assert calls == {"_index_of": 2}
 
 
 def test_seeded_verifiers_make_no_draw_per_element(monkeypatch):
