@@ -4,12 +4,9 @@ Exit codes: 0 success/verified/vacuous, 1 theorem-violation counterexample,
 2 usage or capacity error.  Machine output (--json/--csv) goes to stdout;
 diagnostics go to stderr.  Every option a command accepts is read: each
 `verify` theorem has its own sub-parser that declares exactly the options
-that theorem reads, and `bound` refuses (`_reject_unread`) the options its
-`--which` does not read, so an unread option exits 2 instead of being
-ignored.  One exception: `verify vu` accepts `--sample` and `--seed` on
-every n but reads them only when the qualifying subsets exceed
-`verify.VU_ENUM_CAP`.  Below it, `--n 73 --sample 10 --seed 1` runs
-exhaustively and exits 0; only a `--sample` below 1 still exits 2.
+that theorem reads (`vu` refuses `--sample`/`--seed` where it enumerates),
+and `bound` refuses (`_reject_unread`) the options its `--which` does not
+read, so an unread option exits 2 instead of being ignored.
 """
 
 from __future__ import annotations
@@ -194,8 +191,7 @@ def _cmd_verify(args) -> int:
     else:
         print(f"{run.theorem} on {run.group} [{run.mode}]: {run.verdict}")
         print(f"stats: {run.stats}")
-        if run.millis is not None:
-            print(f"elapsed: {run.millis:.1f} ms", file=sys.stderr)
+        print(f"elapsed: {run.millis:.1f} ms", file=sys.stderr)
         for ce in run.counterexamples[:10]:
             print(f"counterexample: {ce}")
     return 0 if run.verdict in ("verified", "vacuous") else 1

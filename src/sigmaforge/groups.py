@@ -4,9 +4,9 @@ A group Z_{n1} x ... x Z_{nk} stores its elements as mixed-radix indices
 in [0, order), so that subsets can live in flat bitmaps (python ints), and
 translating a subset is a per-digit rotation of its bitmap (`_shift_mask`).
 A `Group` is immutable: per invariant factor it keeps a bitmap of block
-starts and the kept mask of a rotation by 1, and each other rotation
-derives its mask from the block starts, so translating by any number of
-distinct elements stores nothing.
+starts and, on a product group, the kept mask of a rotation by 1; each
+other rotation derives its mask from the block starts, so translating by
+any number of distinct elements stores nothing.
 Every subset of a group is a `GroupSet` on that bitmap; a `Subgroup` is a
 `GroupSet` known to be closed, so a subgroup equals, hashes like and adds
 with the plain set of the same elements.  A quotient G/H is an ordinary
@@ -85,9 +85,9 @@ class Group:
         self.order = order
         self.strides = tuple(strides)
         self.full_mask = (1 << order) - 1
-        # (n, stride, block starts, keep1) per digit; the block starts are the
-        # indices whose digits at and below this one are all 0, and keep1 the
-        # indices whose digit is below n - 1 (a rotation by 1 keeps them)
+        # (n, stride, block starts, keep1) per digit: the indices whose digits
+        # at and below this one are all 0, and those whose digit is below
+        # n - 1 (a rotation by 1 keeps them), None where no rotation reads it
         digits = []
         for n, stride in zip(factors, strides):
             unit, width = 1, n * stride
@@ -95,7 +95,8 @@ class Group:
                 unit |= unit << width
                 width *= 2
             unit &= self.full_mask
-            digits.append((n, stride, unit, (unit << (n - 1) * stride) - unit))
+            keep1 = (unit << (n - 1) * stride) - unit if len(factors) > 1 else None
+            digits.append((n, stride, unit, keep1))
         self._digits = tuple(digits)
 
     # -- element arithmetic on raw indices ---------------------------------
@@ -172,7 +173,7 @@ def _shift_mask(group: Group, mask: int, g: int) -> int:
     On Z_n (one invariant factor) the one block is the whole group, so bit
     i moves to i + g when i < n - g and to i + g - n otherwise: the
     rotation is `((mask << g) & full) | (mask >> (n - g))`, two shifts
-    with no kept mask.
+    with no kept mask, so a cyclic group stores no `keep1`.
     """
     if g == 0 or mask == 0:
         return mask
@@ -527,19 +528,22 @@ def _automorphism_images(group: Group) -> list:
 def _torsion_mask(group: Group, d: int) -> int:
     """Bitmap of the subgroup G[d] = {x : d·x = 0}.
 
-    d·x = 0 iff each digit x_i has d·x_i ≡ 0 mod n_i, that is, x_i is a
-    multiple of q_i = n_i / gcd(d, n_i).  Built digit by digit, lowest
-    first: if m (below 2^w) marks the allowed values of the w indices of
-    the lower digits, the allowed indices below n_i·w are m shifted by
-    j·q_i·w for j < n_i / q_i, that is m times the repunit
-    (2^(n_i·w) - 1) / (2^(q_i·w) - 1), whose bits are q_i·w >= w apart, so
-    the product has no carries.
+    d·x = 0 iff each digit x_i is a multiple of q_i = n_i / gcd(d, n_i).
+    Built digit by digit, lowest first: if m (below 2^w) marks the allowed
+    values of the lower digits' w indices, those below n_i·w are the copies
+    of m at j·q_i·w, j < n_i / q_i.  Doubling `m |= m << s` (s = q_i·w,
+    2·q_i·w, ... below n_i·w, as `Group` builds its block starts) puts
+    copies at every multiple of q_i·w, q_i·w >= w apart, so none overlap;
+    as q_i | n_i, the cut at n_i·w keeps exactly the wanted ones.  No
+    big-int division is made (CPython's is quadratic).
     """
     mask, width = 1, 1
     for n in group.factors:
-        q = n // math.gcd(d, n)
-        mask *= ((1 << n * width) - 1) // ((1 << q * width) - 1)
-        width *= n
+        step, width = n // math.gcd(d, n) * width, n * width
+        while step < width:
+            mask |= mask << step
+            step *= 2
+        mask &= (1 << width) - 1
     return mask
 
 

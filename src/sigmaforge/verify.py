@@ -144,19 +144,36 @@ def _verify(instances, evaluate, literal, key=None, extra_stats=None, **run_fiel
 
 
 def _run(t0, count, counterexamples, min_slack, witness, extra_stats=None, **run_fields):
-    """The `VerificationRun` of `count` instances checked since `t0`."""
-    stats = {
-        "instances": count,
-        **(extra_stats or {}),
-        "min_slack": min_slack,
-        "witness": witness,
-    }
+    """The `VerificationRun` of `count` instances checked since `t0`.
+
+    A run of no instances is vacuous, with no min_slack or witness.  Only
+    the vacuous `vu_check` has none: random runs have trials >= 1,
+    `main`/`corollary` count 2^|G| instances, Kneser pairs are nonempty,
+    and exhaustive Olson and Vu have t <= |members|.
+    """
+    stats = {"instances": count, **(extra_stats or {})}
+    if count:
+        stats.update(min_slack=min_slack, witness=witness)
+    else:
+        stats["vacuous"] = True
     return VerificationRun(
         counterexamples=counterexamples,
         stats=stats,
         millis=(time.perf_counter() - t0) * 1000.0,
         **run_fields,
     )
+
+
+def _bound_evaluate(bound, describe):
+    """`_verify`'s `evaluate` for a bound: the slack lhs - rhs of `bound(inst)`,
+    and for a failing instance the payload `describe(inst)` plus its "report"."""
+
+    def evaluate(inst):
+        rep = bound(inst)
+        payload = None if rep.holds else {**describe(inst), "report": rep.to_dict()}
+        return rep.lhs - rep.rhs, payload
+
+    return evaluate
 
 
 def exhaustive_theorem(group: Group, theorem: str) -> VerificationRun:
@@ -176,14 +193,6 @@ def exhaustive_theorem(group: Group, theorem: str) -> VerificationRun:
             f"|G| = {group.order} exceeds pair-enumeration cap {KNESER_PAIRS_CAP}"
         )
     nonempty = [GroupSet(group, mask) for mask in range(1, 1 << group.order)]
-    instances = product(nonempty, repeat=2)
-
-    def evaluate(pair):
-        rep = kneser_bound(pair)
-        if rep.holds:
-            return rep.lhs - rep.rhs, None
-        payload = {"sets": literal(pair), "report": rep.to_dict()}
-        return rep.lhs - rep.rhs, payload
 
     def key(pair):
         return pair[0].members(), pair[1].members()
@@ -192,8 +201,9 @@ def exhaustive_theorem(group: Group, theorem: str) -> VerificationRun:
         return f"{pair[0].literal()}|{pair[1].literal()}"
 
     return _verify(
-        instances, evaluate, literal, key,
-        theorem=theorem, group=group.spec(), mode="exhaustive",
+        product(nonempty, repeat=2),
+        _bound_evaluate(kneser_bound, lambda pair: {"sets": literal(pair)}),
+        literal, key, theorem=theorem, group=group.spec(), mode="exhaustive",
     )
 
 
@@ -392,17 +402,13 @@ def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun
                 sets.append(GroupSet(g, _sample(rng, g.order, size)))
             yield g, sets
 
-    def evaluate(inst):
-        g, sets = inst
-        rep = kneser_bound(sets)
-        if rep.holds:
-            return rep.lhs - rep.rhs, None
-        payload = {"group": g.spec(), "sets": literal(inst), "report": rep.to_dict()}
-        return rep.lhs - rep.rhs, payload
-
     def literal(inst):
         return "".join(_kneser_text(inst))
 
+    evaluate = _bound_evaluate(
+        lambda inst: kneser_bound(inst[1]),
+        lambda inst: {"group": inst[0].spec(), "sets": literal(inst)},
+    )
     return _verify(
         instances(), evaluate, literal, key=partial(_TextKey, _kneser_text),
         theorem="kneser", group=";".join(g.spec() for g in groups),
@@ -440,12 +446,7 @@ def random_sequence_theorem(
             seq.mult = Counter(terms)
             yield seq
 
-    def evaluate(a):
-        rep = sequence_bound_check(a)
-        if rep.holds:
-            return rep.lhs - rep.rhs, None
-        return rep.lhs - rep.rhs, {"sequence": a.literal(), "report": rep.to_dict()}
-
+    evaluate = _bound_evaluate(sequence_bound_check, lambda a: {"sequence": a.literal()})
     return _verify(
         instances(), evaluate, SequenceMS.literal,
         key=partial(_TextKey, SequenceMS.literal_pieces),
@@ -567,27 +568,24 @@ def vu_check(
     sample: int | None = None,
     seed: int | None = None,
 ) -> VerificationRun:
-    """Unit subsets of Z_n of size >= ceil(8 sqrt(n)) must have Sigma = Z_n."""
+    """Unit subsets of Z_n of size >= ceil(8 sqrt(n)) must have Sigma = Z_n.
+
+    Exhaustive up to `VU_ENUM_CAP` qualifying subsets (vacuous if phi(n) < t),
+    else sampled; `sample` and `seed` are read when sampling, refused otherwise.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     if sample is not None and sample < 1:
         raise ValueError("sample must be >= 1")
-    t0 = time.perf_counter()
     group = Group([n])
     t = vu_threshold(n)
     units = [a for a in range(1, n) if math.gcd(a, n) == 1]
     phi = len(units)
-    if phi < t:
-        return VerificationRun(
-            theorem="vu",
-            group=group.spec(),
-            mode="exhaustive",
-            stats={"instances": 0, "threshold": t, "phi": phi, "vacuous": True},
-            millis=(time.perf_counter() - t0) * 1000.0,
-        )
-
     extra = {"threshold": t, "phi": phi}
-    if _vu_enumerable(phi, t):
+    if phi < t or _vu_enumerable(phi, t):
+        for name, value in (("sample", sample), ("seed", seed)):
+            if value is not None:
+                raise ValueError(f"vu on Z{n} is exhaustive and does not read {name}")
         return _completeness(
             group, _bit_combinations(units, t), extra_stats=extra,
             theorem="vu", mode="exhaustive",

@@ -439,6 +439,8 @@ VERIFY_REQUIRED = {
     "vu": ("--n",),
     "interval": ("--n",),
 }
+# vu reads --sample and --seed only above `verify.VU_ENUM_CAP`, and refuses
+# them below it (the vu entries of UNREAD)
 VERIFY_READS = {
     **VERIFY_REQUIRED,
     "kneser": ("--group", "--seed", "--m-max", "--trials"),
@@ -465,6 +467,12 @@ UNREAD = [
     for t in VERIFY_BASE
     for option, value in VERIFY_OPTIONS.items()
     if option not in VERIFY_READS[t]
+]
+UNREAD += [  # n = 73 is exhaustive, n = 10 vacuous
+    (("verify", "vu", "--n", "73"), ("--sample", "10", "--seed", "1"),
+     "vu on Z73 is exhaustive and does not read sample"),
+    (("verify", "vu", "--n", "10"), ("--seed", "1"),
+     "vu on Z10 is exhaustive and does not read seed"),
 ]
 UNREAD += [
     (("bound", "--which", w, *BOUND_BASE[w]), ("--u", "3"), "does not read --u")
@@ -519,6 +527,13 @@ def test_verify_human_output(capsys):
         "olson on Z7 [exhaustive]: verified\n"
         "stats: {'instances': 22, 'threshold': 4, 'min_slack': 0, "
         "'witness': '1;2;3;4'}\n"
+    )
+    # the vacuous run (JSON golden `vu-30-vacuous`) has no min_slack or witness
+    code, out, _ = run(capsys, "verify", "vu", "--n", "10")
+    assert code == 0
+    assert out == (
+        "vu on Z10 [exhaustive]: vacuous\n"
+        "stats: {'instances': 0, 'threshold': 26, 'phi': 4, 'vacuous': True}\n"
     )
 
 

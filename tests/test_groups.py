@@ -1,5 +1,8 @@
 import math
+import operator
 import random
+import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from sigmaforge import (
     parse_element,
     parse_group,
     quotient,
+    stabilizer,
     zero,
 )
 from sigmaforge.groups import (
@@ -357,6 +361,31 @@ def test_torsion_mask_matches_multiples_oracle(factors):
                 y = g.add_index(y, x)
             want |= (y == 0) << x
         assert _torsion_mask(g, d) == want, d
+
+
+def test_torsion_mask_of_a_large_product_group():
+    # 2^18 elements, too many for d additions each: G[d] is the product of
+    # each digit's multiples of n_i / gcd(d, n_i), by index
+    g = make_group((2,) * 16 + (4,))
+    for d in (1, 2, 3, 4, 6):
+        allowed = [range(0, n, n // math.gcd(d, n)) for n in g.factors]
+        want = [sum(map(operator.mul, x, g.strides)) for x in product(*allowed)]
+        assert _torsion_mask(g, d) == GroupSet.from_indices(g, want).mask, d
+
+
+def test_stabilizer_of_a_pair_in_a_large_product_group_is_fast():
+    # d = gcd(2, |G|) = 2 is no multiple of lcm = 4, so G[2] (2^19 elements)
+    # cuts the candidates; built by shifts it takes milliseconds, and by a
+    # big-int division per digit (quadratic in CPython) about 0.6 s
+    g = make_group((2,) * 18 + (4,))
+    A = GroupSet.from_indices(g, [1, 5])
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        H = stabilizer(A)
+        elapsed.append(time.perf_counter() - t0)
+    assert H.mask == 1 | 1 << 4  # 5 - 1 = 4 = e_2
+    assert min(elapsed) < 0.1, elapsed
 
 
 # every abelian group of order <= 24, in invariant factors, and other

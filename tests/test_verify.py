@@ -536,6 +536,17 @@ def test_vu_sampled_mode():
         vu_check(293)
 
 
+def test_vu_refuses_sample_and_seed_where_it_does_not_draw():
+    # n = 73 is exhaustive and n = 10 vacuous: neither reads sample or seed
+    for n in (73, 10):
+        for kwargs, name in [
+            ({"sample": 5, "seed": 1}, "sample"), ({"sample": 5}, "sample"),
+            ({"seed": 1}, "seed"),
+        ]:
+            with pytest.raises(ValueError, match=f"does not read {name}$"):
+                vu_check(n, **kwargs)
+
+
 def test_vu_sampled_mode_rejects_empty_sample():
     # on every path: n = 293 samples, n = 67 is exhaustive, n = 10 vacuous
     for n in (293, 67, 10):
