@@ -550,11 +550,11 @@ def vu_threshold(n: int) -> int:
 def _vu_enumerable(phi: int, t: int) -> bool:
     """Whether the sum of C(phi, k) over k >= t is at most `VU_ENUM_CAP`.
 
-    By C(phi, k) = C(phi, phi - k) that sum is the sum of C(phi, j) over
-    j <= phi - t; each term comes from the one before, and the sum stops
-    once it passes the cap, so a large phi costs a few terms, not phi.
+    By C(phi, k) = C(phi, phi - k) that sum (0 when phi < t) is the sum of
+    C(phi, j) over j <= phi - t; each term comes from the one before, and
+    the sum stops once it passes the cap, so a large phi costs a few terms.
     """
-    total = term = 1
+    total, term = int(phi >= t), 1
     for j in range(1, phi - t + 1):
         term = term * (phi - j + 1) // j
         total += term
@@ -582,7 +582,7 @@ def vu_check(
     units = [a for a in range(1, n) if math.gcd(a, n) == 1]
     phi = len(units)
     extra = {"threshold": t, "phi": phi}
-    if phi < t or _vu_enumerable(phi, t):
+    if _vu_enumerable(phi, t):
         for name, value in (("sample", sample), ("seed", seed)):
             if value is not None:
                 raise ValueError(f"vu on Z{n} is exhaustive and does not read {name}")

@@ -63,6 +63,8 @@ def test_kneser_rejects_empty():
     g = make_group([6])
     with pytest.raises(ValueError):
         kneser_bound([gset(g, [1]), GroupSet(g)])
+    with pytest.raises(ValueError, match="need at least one summand"):
+        kneser_bound([])
 
 
 def test_corollary_examples():

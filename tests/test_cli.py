@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -44,6 +46,39 @@ def test_readme_cli_examples_run():
     assert len(commands) >= 10
     for line in commands:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_readme_verify_options_table_matches_parser():
+    """README's `verify` table names each theorem's options as the parser has them."""
+    text = (ROOT / "README.md").read_text()
+    head = "| theorem | required | optional (default) |\n|---|---|---|\n"
+    documented = {}
+    for line in text.split(head, 1)[1].splitlines():
+        if not line.startswith("|"):
+            break
+        names, required, optional = (cell.strip() for cell in line.strip("|").split("|"))
+        for name in re.findall(r"`([^`]+)`", names):
+            assert name not in documented, name
+            documented[name] = (
+                re.findall(r"`(--[\w-]+)`", required),
+                {option: int(default) if default else None for option, default
+                 in re.findall(r"`(--[\w-]+)`(?: \((\d+)\))?", optional)},
+            )
+    parsed = {}
+    for name, theorem in _subcommands(_subcommands(build_parser())["verify"]).items():
+        options = [a for a in theorem._actions if a.dest != "help"]
+        assert [a.option_strings for a in options if a.dest == "json"] == [["--json"]]
+        options = [a for a in options if a.dest != "json"]
+        parsed[name] = (
+            [a.option_strings[0] for a in options if a.required],
+            {a.option_strings[0]: a.default for a in options if not a.required},
+        )
+    assert documented == parsed
 
 
 def test_sigma_set(capsys):
@@ -155,6 +190,17 @@ def test_bound_rejects_unread_operand(capsys, which, operand):
     code, out, err = run(capsys, "bound", "--which", which, *read, *operand)
     assert code == 2 and out == ""
     assert f"does not read {operand[0]}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--which", "recursive"), "recursive bound needs --u"),
+    (("--which", "kneser", "--group", "Z6"), "kneser bound needs one or more --set"),
+    (("--which", "sequence", "--group", "Z6"), "sequence bound needs --seq"),
+])
+def test_bound_missing_operand_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "bound", *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_bound_recursive(capsys):

@@ -87,6 +87,13 @@ def test_candidates_and_set_must_share_a_group(check):
         check(C, S)
 
 
+@pytest.mark.parametrize("check", [witness_easy, witness_hard, hard_bound_diagnostic])
+def test_candidates_must_be_nonempty(check):
+    g = make_group([8])
+    with pytest.raises(ValueError, match="candidate set must be nonempty"):
+        check(GroupSet(g), gset(g, [0, 1]))
+
+
 def test_witness_hard_example():
     g = make_group([32])
     rng = random.Random(1)
@@ -145,6 +152,8 @@ def test_classify_all_dense_or_empty():
     assert all(cc.label == "dense" for cc in full)
     empty = classify_cosets(GroupSet(g), H, 16)
     assert all(cc.label == "empty" for cc in empty)
+    with pytest.raises(ValueError, match="u must be nonnegative"):
+        classify_cosets(GroupSet.full(g), H, -1)
 
 
 def test_classify_example():
@@ -553,6 +562,8 @@ def test_best_half_capacity():
     big = gset(g, range(1, 27))
     with pytest.raises(CapacityError):
         best_half_subset(big)
+    with pytest.raises(ValueError, match="must be even"):
+        best_half_subset(gset(g, range(1, 28)))
 
 
 def test_best_half_trivial_stab_bound():

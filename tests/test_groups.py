@@ -66,6 +66,9 @@ def test_product_addition():
     g = make_group([2, 3])
     e = g.element(1, 2)
     assert (e + e).coords == (0, 1)
+    assert add(g, e, e) == e + e
+    assert (e - g.element(0, 1)).coords == (1, 1)
+    assert repr(g) == "Group(Z2xZ3)"
 
 
 def test_neg_zero():
@@ -80,6 +83,28 @@ def test_cross_group_arithmetic_rejected():
         g1.element(1) + g2.element(1)
     with pytest.raises(GroupMismatchError):
         add(g1, g1.element(1), g2.element(1))
+    with pytest.raises(GroupMismatchError):
+        g1.element(1) - g2.element(1)
+    with pytest.raises(GroupMismatchError):
+        neg(g1, g2.element(1))
+
+
+def test_encode_and_element_reject_out_of_range():
+    g = make_group([2, 3])
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        g.encode((1,))
+    with pytest.raises(ValueError, match="coordinate 3 out of range for Z_3"):
+        g.encode((0, 3))
+    with pytest.raises(ValueError, match="index 6 out of range"):
+        Element(g, g.order)
+
+
+def test_groupset_rejects_mask_bits_outside_the_group():
+    g = make_group([2, 3])
+    for mask in (1 << g.order, g.full_mask << 1, -1):
+        with pytest.raises(ValueError, match="mask has bits outside the group"):
+            GroupSet(g, mask)
+    assert GroupSet(g, g.full_mask) == GroupSet.full(g)
 
 
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.data())
@@ -152,15 +177,20 @@ def test_from_indices_matches_or_loop(factors, data):
         assert GroupSet.from_indices(g, items).mask == want
 
 
-@pytest.mark.parametrize("order", [64, 512, 4096])
+# orders 1, 7, 1001 and 4099 leave the top byte of the bitmap buffer partial
+@pytest.mark.parametrize("order", [1, 7, 64, 512, 1001, 4096, 4099, 1 << 16])
 def test_from_indices_at_every_density(order):
     g = make_group([order])
     rng = random.Random(order)
     for n in (0, 1, 2, 31, 32, 33, order // 16 - 1, order // 16, order // 2, order):
-        idx = rng.sample(range(order), n)
+        if not 0 <= n <= order:
+            continue
+        idx = rng.sample(range(order - 1), n - 1) + [order - 1] if n else []
+        rng.shuffle(idx)  # the top index |G| - 1 at every nonzero density
         idx += rng.choices(idx, k=n // 3)  # repeats
-        assert GroupSet.from_indices(g, idx).mask == naive_mask(g, idx)
-        assert GroupSet.from_indices(g, iter(idx)).mask == naive_mask(g, idx)
+        want = naive_mask(g, idx)
+        assert GroupSet.from_indices(g, idx).mask == want
+        assert GroupSet.from_indices(g, iter(idx)).mask == want
 
 
 def test_from_indices_raises_for_the_first_bad_item():
@@ -200,6 +230,8 @@ def test_generated_subgroup_examples():
     ).members() == list(range(5))
     g6 = make_group([6])
     assert generated_subgroup(g6, GroupSet.from_indices(g6, [2])).members() == [0, 2, 4]
+    with pytest.raises(GroupMismatchError, match="set from a different group"):
+        generated_subgroup(g6, GroupSet.from_indices(g5, [1]))
 
 
 @given(st.integers(2, 24), st.sets(st.integers(0, 23), max_size=4))

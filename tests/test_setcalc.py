@@ -114,6 +114,7 @@ def test_sequences_compare_by_group_and_multiplicities():
     assert a != SequenceMS(make_group([7]), {1: 2})
     assert a != GroupSet.from_indices(g, [1])
     assert len({a, SequenceMS(g, {1: 2}), SequenceMS(g), SequenceMS(g, {})}) == 2
+    assert repr(SequenceMS(g, {4: 1, 1: 2})) == "SequenceMS(Z6, {1:2;4:1})"
 
 
 def test_elements_of_another_group_are_rejected():

@@ -79,6 +79,8 @@ def test_exhaustive_capacity():
         exhaustive_theorem(make_group([33]), "main")
     with pytest.raises(CapacityError):
         exhaustive_theorem(make_group([9]), "kneser-pairs")
+    with pytest.raises(ValueError, match="unknown theorem 'nope'"):
+        exhaustive_theorem(make_group([4]), "nope")
 
 
 # The main and corollary bounds with |Sigma(A)| - 1 added to the right side,
@@ -298,6 +300,8 @@ def test_random_verifiers_reject_empty_size_ranges():
         random_sequence_theorem(g, n_max=-1, trials=5, seed=1)
     # the boundary values draw one set, or only empty sequences
     assert random_kneser([g], m_max=1, trials=5, seed=1).verdict == "verified"
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        random_kneser([g], m_max=1, trials=0, seed=1)
     run = random_sequence_theorem(g, n_max=0, trials=5, seed=1)
     assert run.verdict == "verified" and run.stats["witness"] == ""
 
@@ -499,6 +503,17 @@ def test_olson_rejects_composite_and_caps():
         olson_check(9)
     with pytest.raises(CapacityError):
         olson_check(29)
+    with pytest.raises(ValueError, match="1 is not prime"):
+        olson_check(1)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        olson_witness(4)
+
+
+def test_vu_and_interval_reject_small_n():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        vu_check(1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        interval_example(0)
 
 
 def test_olson_witness_near_tightness():
@@ -590,8 +605,17 @@ def test_vu_mode_choice_matches_the_exact_binomial_rule(monkeypatch):
     for cap in (0, 1, 5, 100):
         monkeypatch.setattr(verify, "VU_ENUM_CAP", cap)
         for phi in range(12):
-            for t in range(phi + 1):
+            for t in range(phi + 3):  # phi < t sums no binomial: 0 subsets
                 assert verify._vu_enumerable(phi, t) == exact(phi, t), (cap, phi, t)
+
+
+def test_vu_vacuous_mode_does_not_depend_on_the_cap(monkeypatch):
+    want = vu_check(10).to_json()
+    monkeypatch.setattr(verify, "VU_ENUM_CAP", 0)
+    assert verify._vu_enumerable(4, 26)  # phi(10) = 4 < 26 = t: nothing to enumerate
+    run = vu_check(10)
+    assert run.mode == "exhaustive" and run.verdict == "vacuous"
+    assert run.to_json() == want
 
 
 def test_vu_sampled_large_group_memory_and_time():
@@ -764,6 +788,19 @@ def test_extremal_search_requires_seed_for_hillclimb():
 def test_extremal_search_exhaustive_rejects_seed_and_restarts(extra):
     with pytest.raises(ValueError, match="no seed or restarts"):
         extremal_search(make_group([13]), 2, **extra)
+
+
+def test_extremal_search_rejects_bad_k_mode_and_capacity(monkeypatch):
+    g = make_group([13])
+    for k in (0, g.order):
+        with pytest.raises(ValueError, match=f"k = {k} out of range"):
+            extremal_search(g, k)
+    with pytest.raises(ValueError, match="unknown search mode 'nope'"):
+        extremal_search(g, 2, mode="nope")
+    monkeypatch.setattr(verify, "SEARCH_ENUM_CAP", 65)  # C(12, 2) = 66
+    with pytest.raises(CapacityError, match=r"C\(12, 2\) exceeds enumeration cap 65"):
+        extremal_search(g, 2)
+    assert extremal_search(g, 1).feasible  # C(12, 1) = 12 is within the cap
 
 
 @given(st.integers(1, 6), st.data())
