@@ -11,8 +11,9 @@ function that takes it:
 - `setcalc.subset_walk`: the subset walk they and `extremal_search`
   share, one rotation per node;
 - `extremal_search`: the search's pruning and its hill-climb;
-- `_completeness`: `olson_check`/`vu_check`, one `subset_sums` per
-  instance;
+- `_exhaustive_completeness`: exhaustive `olson_check`/`vu_check`, one
+  `subset_sums` per bitmap instance, with its witness and counterexample
+  order; `_subset_masks`: those bitmaps, by the dropped members when fewer;
 - `_sample`: the bitmap of the set `Random.sample` draws, with no
   `_randbelow` call or result list per element;
 - `_verify`: the driver of the other verifiers.
@@ -468,42 +469,81 @@ def olson_threshold(p: int) -> int:
     return math.isqrt(4 * p - 7)
 
 
-def _completeness(group, instances, mask_of=sum, **run_fields) -> VerificationRun:
-    """`_verify` over sorted member tuples whose Sigma must be all of `group`.
-
-    An instance holds its members as bits `1 << a` (the exhaustive checks)
-    or as indices (sampled `vu_check`), and `mask_of` turns it into its
-    bitmap in one C-level pass: `sum` for bits, `sum(map(bit, ...))` for
-    indices.  The members are distinct in-range ints (`combinations` of the
-    nonzero elements or of the units, or the units a `_sample` bitmap picks),
-    so the sum of their bits equals their OR and needs no
-    `GroupSet.from_indices` check; `GroupSet` still rejects a bit outside
-    the group.  a -> 1 << a is increasing, so bit tuples compare as their
-    index tuples do, and the witness and the counterexample order are
-    unchanged.  The exhaustive checks build a table of their members' bits
-    once: exhaustive Vu runs only for n <= 1020 (phi <= 256) and Olson only
-    for p <= `OLSON_CAP`, so the table holds at most phi * n / 8 bytes of
-    bits, about 33 KB.  Sampled `vu_check` keeps index tuples: its table
-    would take about |G|^2/16 bytes, 1.1 GB at n = 131,071.
+def _completeness(group, instances, **run_fields) -> VerificationRun:
+    """`_verify` over sampled `vu_check`'s unit tuples, whose Sigma must be
+    all of `group`.  The units are distinct in-range ints, so the sum of
+    their bits is their OR and needs no `GroupSet.from_indices` check.
     """
+    bit = (1).__lshift__
 
     def evaluate(inst):
-        sigma = subset_sums(GroupSet(group, mask_of(inst)))
+        sigma = subset_sums(GroupSet(group, sum(map(bit, inst))))
         if sigma.mask == group.full_mask:
             return 0, None
         payload = {"set": literal(inst), "sigma_size": sigma.card}
         return sigma.card - group.order, payload
 
     def literal(inst):
-        return GroupSet(group, mask_of(inst)).literal()
+        return GroupSet(group, sum(map(bit, inst))).literal()
 
     return _verify(instances, evaluate, literal, group=group.spec(), **run_fields)
 
 
-def _bit_combinations(members, t):
-    """The `combinations` of `members` with at least `t` of them, as tuples of bits."""
+def _subset_masks(bits, t):
+    """The bitmap of each set of at least `t` of `bits`, by size, each once.
+
+    The bits are distinct powers of two, m of them, so a set's sum is its
+    OR.  A k-set with 2k < m is summed from `combinations(bits, k)`; any
+    other is the whole minus the sum of the m - k bits it drops, one of
+    `combinations(bits, m - k)`.  Complement is a bijection between the
+    k-sets and the (m - k)-sets, so each k-set comes once, and no set costs
+    more than m // 2 terms.
+    """
+    m = len(bits)
+    whole = sum(bits)
+
+    def of_size(k):
+        if 2 * k < m:
+            return map(sum, combinations(bits, k))
+        return map(whole.__sub__, map(sum, combinations(bits, m - k)))
+
+    return chain.from_iterable(map(of_size, range(t, m + 1)))
+
+
+def _exhaustive_completeness(group, members, t, **run_fields) -> VerificationRun:
+    """Every set of at least `t` of the ascending `members` must have
+    Sigma = `group`: `_verify` over their `combinations` by size, run as
+    one `subset_sums` per `_subset_masks` bitmap with no member tuple.
+
+    - No failure: every slack is 0, and the witness is the first t members,
+      a prefix of each list that starts with them; every other list differs
+      from it earlier, by a larger member.
+    - Failures (slack < 0) keep (|Sigma|, bitmap) and are sorted at the end
+      by (size, member list), the order of `combinations` by size.  The
+      witness is the first of least slack: a set's first t members have no
+      more sums and precede it, so the least (slack, member list) is a
+      t-set, and the t-sets come first, in list order.
+    """
+    t0 = time.perf_counter()
     bits = [1 << a for a in members]
-    return chain.from_iterable(combinations(bits, k) for k in range(t, len(bits) + 1))
+    full, order = group.full_mask, group.order
+    failed = []  # (|Sigma|, bitmap) of each set whose Sigma is not G
+    count = 0
+    for count, mask in enumerate(_subset_masks(bits, t), 1):
+        sigma = subset_sums(GroupSet(group, mask))
+        if sigma.mask != full:
+            failed.append((sigma.card, mask))
+
+    def literal(mask):
+        return GroupSet(group, mask).literal()
+
+    failed.sort(key=lambda f: (f[1].bit_count(), GroupSet(group, f[1]).members()))
+    card, mask = min(failed, key=lambda f: f[0], default=(order, sum(bits[:t])))
+    counterexamples = [{"set": literal(m), "sigma_size": c} for c, m in failed]
+    witness = literal(mask) if count else None
+    return _run(
+        t0, count, counterexamples, card - order, witness, group=group.spec(), **run_fields
+    )
 
 
 def olson_check(p: int) -> VerificationRun:
@@ -517,8 +557,8 @@ def olson_check(p: int) -> VerificationRun:
     if p > OLSON_CAP:
         raise CapacityError(f"p = {p} exceeds cap {OLSON_CAP}")
     t = olson_threshold(p)
-    return _completeness(
-        Group([p]), _bit_combinations(range(1, p), t), extra_stats={"threshold": t},
+    return _exhaustive_completeness(
+        Group([p]), range(1, p), t, extra_stats={"threshold": t},
         theorem="olson", mode="exhaustive",
     )
 
@@ -586,8 +626,8 @@ def vu_check(
         for name, value in (("sample", sample), ("seed", seed)):
             if value is not None:
                 raise ValueError(f"vu on Z{n} is exhaustive and does not read {name}")
-        return _completeness(
-            group, _bit_combinations(units, t), extra_stats=extra,
+        return _exhaustive_completeness(
+            group, units, t, extra_stats=extra,
             theorem="vu", mode="exhaustive",
         )
     if sample is None or seed is None:
@@ -595,7 +635,6 @@ def vu_check(
             f"more than {VU_ENUM_CAP} qualifying subsets; "
             "pass sample and seed for randomized mode"
         )
-    bit = (1).__lshift__
 
     def sampled():
         # bit i of a draw picks units[i]; one ascending scan of its digits
@@ -605,7 +644,7 @@ def vu_check(
             yield tuple(compress(units, map("1".__eq__, drawn)))
 
     return _completeness(
-        group, sampled(), lambda idxs: sum(map(bit, idxs)), extra_stats=extra,
+        group, sampled(), extra_stats=extra,
         theorem="vu", mode="random", seed=seed, trials=sample,
     )
 

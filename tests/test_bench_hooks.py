@@ -12,6 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 PREAMBLE = """
+import math
 import sys
 sys.dont_write_bytecode = True
 sys.path[:0] = [{src!r}, {bench!r}]
@@ -39,6 +40,10 @@ assert m["verify.instances"] == 22 + 1, m
 assert m["verify.evaluations_per_instance"] == 1.0, m
 assert m["setcalc.subset_sums.full_ratio"] == 1.0, m
 assert m["groups.quotient.calls"] == 0, m
+verify.olson_check(11)  # sizes 6..10 of 10 members: every set by its dropped ones
+m = tracer.layer_metrics(1.0)
+assert m["verify.instances"] == 23 + sum(math.comb(10, k) for k in range(6, 11)), m
+assert m["verify.evaluations_per_instance"] == 1.0, m
 """
 
 # sampled Vu keeps index tuples and stays on `_verify`

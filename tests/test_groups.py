@@ -204,7 +204,7 @@ def test_from_indices_raises_for_the_first_bad_item():
     with pytest.raises(InvalidSubgroupError):
         Subgroup.from_indices(z6, [0, 2, 3])
     assert Subgroup.from_indices(z6, iter([0, 2, 4, 2])).members() == [0, 2, 4]
-    # the same checks on a list long enough to be built from flags
+    # the same checks on a longer list, in a larger group
     z64 = make_group([64])
     good = list(range(40))
     for bad, error, match in (

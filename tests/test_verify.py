@@ -30,7 +30,9 @@ from sigmaforge import (
 )
 from sigmaforge import groups
 from sigmaforge.setcalc import subset_walk
-from sigmaforge.verify import _TextKey, _kneser_text, _precedes, _sample, _text_lt, vu_threshold
+from sigmaforge.verify import (
+    _TextKey, _kneser_text, _precedes, _sample, _subset_masks, _text_lt, vu_threshold,
+)
 import conftest
 from conftest import (
     CountedWalk,
@@ -652,7 +654,11 @@ COMPLETENESS_CASES = [("olson", p) for p in (2, 3, 5, 7, 11)] + [
 @given(st.sampled_from(COMPLETENESS_CASES), st.data())
 @settings(max_examples=60, deadline=None)
 def test_completeness_encodings_match_loop(case, data):
-    """Bit-tuple (exhaustive) and index-tuple (sampled) instances vs the loop.
+    """Bitmap (exhaustive) and index-tuple (sampled) instances vs the loop.
+
+    Exhaustive instances are `_subset_masks` bitmaps: a k-set of m members
+    is summed from its k members when 2k < m, else is the whole minus its
+    m - k dropped members.
 
     The threshold is lowered so that counterexamples occur; it is kept
     where `naive_sigma` stays cheap (about 20,000 subsets in all).
@@ -680,6 +686,23 @@ def test_completeness_encodings_match_loop(case, data):
             assert run.mode == "random"
             assert run.to_json() == completeness_loop(
                 "vu", n, t, sample, seed).to_json()
+
+
+def test_subset_masks_yield_each_large_enough_subset_once():
+    # both sides of the 2k = m switch: odd and even m, every t up to m + 1
+    for m in range(13):
+        members = [1, 3, 4, 7, 8, 10, 12, 13, 15, 18, 19, 22][:m]
+        bits = [1 << a for a in members]
+        for t in range(m + 2):
+            got = list(_subset_masks(bits, t))
+            want = [
+                sum(chosen) for k in range(t, m + 1) for chosen in combinations(bits, k)
+            ]
+            assert len(got) == sum(math.comb(m, k) for k in range(t, m + 1))
+            assert sorted(got) == sorted(want) and len(set(got)) == len(got), (m, t)
+            assert [mask.bit_count() for mask in got] == sorted(
+                mask.bit_count() for mask in got
+            ), (m, t)
 
 
 def test_interval_example_small():
