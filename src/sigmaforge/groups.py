@@ -6,12 +6,14 @@ translating a subset is a per-digit rotation of its bitmap (`_shift_mask`).
 A `Group` is immutable: per invariant factor it keeps a bitmap of block
 starts and, on a product group, the kept mask of a rotation by 1; each
 other rotation derives its mask from the block starts, so translating by
-any number of distinct elements stores nothing.
-Every subset of a group is a `GroupSet` on that bitmap; a `Subgroup` is a
-`GroupSet` known to be closed, so a subgroup equals, hashes like and adds
-with the plain set of the same elements.  A quotient G/H is an ordinary
-group on its invariant factors, read off the Smith normal form of H's
-lattice, together with the projection G -> G/H.
+any number of distinct elements stores nothing; its one other slot holds
+G as a `GroupSet`, built the first time a result equals G.
+Every subset of a group is a `GroupSet` on that bitmap, a value never
+mutated; a `Subgroup` is a `GroupSet` known to be closed, so a subgroup
+equals, hashes like and adds with the plain set of the same elements.
+A quotient G/H is an ordinary group on its invariant factors, read off
+the Smith normal form of H's lattice, together with the projection
+G -> G/H.
 """
 
 from __future__ import annotations
@@ -63,9 +65,15 @@ def max_order() -> int:
 
 
 class Group:
-    """Z_{n1} x ... x Z_{nk} with elements indexed in mixed radix."""
+    """Z_{n1} x ... x Z_{nk} with elements indexed in mixed radix.
 
-    __slots__ = ("factors", "order", "strides", "full_mask", "_digits")
+    Immutable apart from `_full`: None until `_full_set` (or
+    `setcalc.subset_sums`, inline) stores G there as a `GroupSet`, once.
+    That set names its group, a reference cycle the cyclic garbage
+    collector frees.  Equal groups each store their own set.
+    """
+
+    __slots__ = ("factors", "order", "strides", "full_mask", "_digits", "_full")
 
     def __init__(self, factors):
         factors = tuple(map(operator.index, factors))
@@ -98,6 +106,7 @@ class Group:
             keep1 = (unit << (n - 1) * stride) - unit if len(factors) > 1 else None
             digits.append((n, stride, unit, keep1))
         self._digits = tuple(digits)
+        self._full = None
 
     # -- element arithmetic on raw indices ---------------------------------
 
@@ -210,7 +219,12 @@ def _shift_plan(group: Group, g: int) -> tuple:
 
 
 class GroupSet:
-    """A subset of a group as a flat bitmap."""
+    """A subset of a group as a flat bitmap.
+
+    A set is a value: nothing assigns its `group` or `mask` after
+    `__init__`.  Every result equal to G is one object per group (its
+    `_full`), so mutating a set would change them all.
+    """
 
     __slots__ = ("group", "mask")
 
@@ -345,6 +359,14 @@ class GroupSet:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.group.spec()}, {{{self.literal()}}})"
+
+
+def _full_set(group: Group) -> GroupSet:
+    """G as the `GroupSet` stored on `group`, built on the first call."""
+    full = group._full
+    if full is None:
+        full = group._full = GroupSet(group, group.full_mask)
+    return full
 
 
 def _iter_bits(mask: int):

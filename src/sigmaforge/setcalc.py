@@ -25,6 +25,7 @@ from .groups import (
     GroupSet,
     Subgroup,
     _as_subgroup,
+    _full_set,
     _index_of,
     _iter_bits,
     _join,
@@ -117,7 +118,7 @@ def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
     for b in _iter_bits(iterated.mask):
         acc |= _shift_mask(base.group, base.mask, b)
         if acc == base.group.full_mask:
-            break
+            return _full_set(A.group)
     return GroupSet(A.group, acc)
 
 
@@ -142,6 +143,10 @@ def subset_sums(A: GroupSet) -> GroupSet:
     g, and Sigma(A) = G.  (R must leave 0 out, or {0} ∪ R has only |R|
     members.)  `need` is |G| - |R|, so the test also stops at S = G; a
     fold that stops with members left has met it.
+
+    A result equal to G is the group's stored set, read inline: a
+    `groups._full_set` call per instance gave back up to a third of the
+    saving on `olson_check(19)` plus `vu_check(73)`.
     """
     g = A.group
     full = g.full_mask
@@ -162,7 +167,12 @@ def subset_sums(A: GroupSet) -> GroupSet:
             s |= _shift_mask(g, s, low.bit_length() - 1)
             rest ^= low
             need += 1
-    return GroupSet(g, full if rest else s)
+    if rest or s == full:
+        whole = g._full
+        if whole is None:
+            whole = g._full = GroupSet(g, full)
+        return whole
+    return GroupSet(g, s)
 
 
 def subset_walk(group: Group, elems, size=None, settle=False, images=None):
@@ -297,7 +307,7 @@ def subsequence_sums(a: SequenceMS) -> GroupSet:
             s = nxt
         if s == g.full_mask:
             break
-    return GroupSet(g, s)
+    return _full_set(g) if s == g.full_mask else GroupSet(g, s)
 
 
 def stabilizer(S: GroupSet) -> Subgroup:

@@ -535,6 +535,67 @@ def test_subsequence_matches_oracle_and_set_case():
     assert subsequence_sums(a) == subset_sums(gset(g, distinct))
 
 
+# -- the stored full set ---------------------------------------------------
+
+def _full_results(g, mask, other, terms):
+    """The results of the three producers of G-valued sets on `g`."""
+    A, B = GroupSet(g, mask), GroupSet(g, other)
+    return {
+        "subset_sums": lambda: subset_sums(A),
+        "sumset": lambda: sumset(A, B),
+        "subsequence_sums": lambda: subsequence_sums(SequenceMS.from_terms(g, terms)),
+    }
+
+
+@given(
+    st.sampled_from([(1,), (2,), (5,), (12,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]),
+    st.data(),
+)
+@settings(max_examples=150)
+def test_results_equal_to_g_are_the_groups_stored_set(factors, data):
+    g, twin = make_group(factors), make_group(factors)
+    mask = data.draw(st.integers(0, g.full_mask))
+    other = data.draw(st.integers(0, g.full_mask))
+    terms = data.draw(st.lists(st.integers(0, g.order - 1), max_size=6))
+    fresh = GroupSet(g, g.full_mask)
+    producers = _full_results(g, mask, other, terms)
+    for name, produce in producers.items():
+        got = produce()
+        again = produce()
+        if got.mask != g.full_mask:
+            assert got is not again and got == again, name
+            continue
+        assert got is again and got.group is g, name
+        assert type(got) is GroupSet and repr(got) == repr(fresh), name
+        assert got == fresh and hash(got) == hash(fresh), name
+        # an equal group stores a set of its own
+        mirrored = _full_results(twin, mask, other, terms)[name]()
+        assert mirrored is not got and mirrored.group is twin, name
+        # no operation on the stored set changes it
+        got.literal()
+        stabilizer(got)
+        got.complement()
+        sumset(got, GroupSet(g, other))
+        sumset(GroupSet(g, other), got)
+        assert got.mask == g.full_mask and produce() is got, name
+
+
+def test_sumset_stores_g_on_its_first_operands_group():
+    g, twin = make_group([6]), make_group([6])
+    A, B = gset(g, [0, 1, 2]), gset(twin, [0, 3])
+    assert sumset(A, B) is subset_sums(gset(g, [1, 2, 3])) and sumset(A, B).group is g
+    assert sumset(B, A).group is twin and sumset(B, A) is not sumset(A, B)
+
+
+def test_full_subgroup_is_not_the_stored_set():
+    z1 = make_group([1])  # Z1: every Sigma is G with nothing folded
+    assert subsequence_sums(SequenceMS(z1)) is subset_sums(GroupSet(z1))
+    g = make_group([2, 4])
+    stored = subset_sums(GroupSet.full(g))
+    assert type(Subgroup.full(g)) is Subgroup and Subgroup.full(g) is not stored
+    assert Subgroup.full(g) == stored
+
+
 # -- stabilizer ------------------------------------------------------------
 
 def test_stabilizer_examples():

@@ -595,6 +595,29 @@ def test_vu_check_matches_combinations_loop(n, t, monkeypatch):
     assert run.to_json() == completeness_loop("vu", n, t, 40, n).to_json()
 
 
+@pytest.mark.parametrize(
+    "check, instances",
+    [(lambda: olson_check(11), 386), (lambda: olson_check(13), 2510),
+     (lambda: vu_check(293, sample=10, seed=7), 10)],
+    ids=["olson-11", "olson-13", "vu-293-sampled"],
+)
+def test_completeness_builds_one_set_per_instance(check, instances, monkeypatch):
+    # every Sigma is G, the group's stored set: one `GroupSet` per instance,
+    # plus G once and the witness literal's set
+    built = 0
+    init = GroupSet.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupSet, "__init__", counting)
+    run = check()
+    assert run.stats["instances"] == instances and run.stats["min_slack"] == 0
+    assert built == instances + 2
+
+
 def test_vu_mode_choice_matches_the_exact_binomial_rule(monkeypatch):
     def exact(phi, t):
         return sum(math.comb(phi, k) for k in range(t, phi + 1)) <= verify.VU_ENUM_CAP
