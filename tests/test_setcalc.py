@@ -306,6 +306,57 @@ def test_sigma_rotates_inline_on_cyclic_groups(factors, elems, folds, monkeypatc
     assert sigma.members() == naive_sigma(g, elems)
 
 
+def test_low_sums_are_the_integer_subset_sums():
+    # entry c: every integer sum of a subset of c's members in 1..7, the
+    # member 0 (bit 0 of c) ignored
+    assert len(setcalc._LOW_SUMS) == 256
+    for c in range(256):
+        members = [a for a in range(1, 8) if c >> a & 1]
+        sums = {sum(t) for k in range(len(members) + 1) for t in combinations(members, k)}
+        assert setcalc._LOW_SUMS[c] == sum(1 << x for x in sums)
+
+
+def _low_byte_case(n):
+    """A mask on Z_n whose low byte is dense (the OR of two random bytes)
+    and whose higher bits are uniform."""
+    dense = st.tuples(st.integers(0, 255), st.integers(0, 255)).map(lambda b: b[0] | b[1])
+    high = st.integers(0, (1 << max(n - 8, 0)) - 1)
+    mask = st.tuples(dense, high).map(lambda m: (m[0] | m[1] << 8) & ((1 << n) - 1))
+    return st.tuples(st.just(n), mask)
+
+
+@given(st.integers(1, 40).flatmap(_low_byte_case))
+@example((1, 1))  # Z1: the table entry is {0} = G
+@example((2, 0b10))  # Z2 {1}: sums 0 and 1, no pass
+@example((3, 0b110))  # Z3 {1, 2}: sums up to 3, one pass
+@example((7, 0b1111110))  # Z7 {1..6}: sums up to 21, three passes
+@example((8, 0xFE))  # Z8 {1..7}: sums up to 28, three passes
+@example((14, 0xFE))  # Z14: 28 = 2n, moved down twice to 0
+@example((15, 0xFE))  # Z15: 28 < 2n, one pass
+@example((28, 0xFE))  # Z28: the sum 28 lands on 0
+@example((29, 0xFE))  # Z29: the sum 28 stays at 28, no pass
+@example((73, ((1 << 73) - 2) & ~(1 << 3 | 1 << 5 | 1 << 40)))  # Z73, all units minus three
+@example((40, 1 << 7))  # Z40 {7}: Sigma {0, 7}, member 7 taken from the table alone
+@example((13, 0b1000000011110))  # Z13 {1..4, 12}: Sigma misses 11, G if need counted 1..4
+@settings(max_examples=300)
+def test_sigma_from_the_low_byte_table_matches_oracle(case):
+    n, mask = case
+    g = make_group([n])
+    A = GroupSet(g, mask)
+    assert subset_sums(A).members() == naive_sigma(g, A.members())
+
+
+def test_sigma_on_a_product_group_folds_every_low_member(monkeypatch):
+    # the table is for Z_n only: on Z8xZ8 the members 1..7 lie in one
+    # Z8 factor, Sigma is that subgroup of order 8, and each of the seven
+    # is folded by a `_shift_mask` call
+    g = make_group([8, 8])
+    calls = count_calls(monkeypatch, _shift_mask)
+    sigma = subset_sums(gset(g, range(1, 8)))
+    assert calls["_shift_mask"] == 7
+    assert sigma.members() == naive_sigma(g, list(range(1, 8)))
+
+
 def test_sigma_contains_set_and_zero():
     g = make_group([3, 4])
     rng = random.Random(3)
