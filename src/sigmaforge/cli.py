@@ -3,9 +3,10 @@
 Exit codes: 0 success/verified/vacuous, 1 theorem-violation counterexample,
 2 usage or capacity error.  Machine output (--json/--csv) goes to stdout;
 diagnostics go to stderr.  Every option a command accepts is read: each
-`verify` theorem has its own sub-parser that declares exactly the options
-that theorem reads (`vu` refuses `--sample`/`--seed` where it enumerates),
-and `bound` refuses (`_reject_unread`) the options its `--which` does not
+`verify` theorem is one row of `build_parser`'s table, naming the options
+it reads and the verifier `_cmd_verify` calls, and its sub-parser declares
+exactly those (`vu` refuses `--sample`/`--seed` where it enumerates);
+`bound` refuses (`_reject_unread`) the options its `--which` does not
 read, so an unread option exits 2 instead of being ignored.
 """
 
@@ -157,22 +158,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Run `args.theorem`; its sub-parser has supplied every option it reads."""
-    if args.theorem in ("main", "corollary", "kneser-pairs"):
-        group = parse_group(args.group)
-        run = vf.exhaustive_theorem(group, args.theorem)
-    elif args.theorem == "kneser":
-        groups = [parse_group(s) for s in args.group.split(";")]
-        run = vf.random_kneser(groups, args.m_max, args.trials, args.seed)
-    elif args.theorem == "sequence":
-        group = parse_group(args.group)
-        run = vf.random_sequence_theorem(group, args.n_max, args.trials, args.seed)
-    elif args.theorem == "olson":
-        run = vf.olson_check(args.p)
-    elif args.theorem == "vu":
-        run = vf.vu_check(args.n, sample=args.sample, seed=args.seed)
-    else:  # interval
-        record = vf.interval_example(args.n)
+    """Run `args.check`, the verifier of `args.theorem`'s row in `build_parser`."""
+    if args.theorem == "interval":
+        record = args.check(args)  # a record dict, not a `VerificationRun`
         _emit(
             args,
             record,
@@ -186,6 +174,7 @@ def _cmd_verify(args) -> int:
         )
         return 0
 
+    run = args.check(args)
     if args.json:
         print(run.to_json())
     else:
@@ -287,16 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification harness")
     theorems = p.add_subparsers(dest="theorem", required=True)
-    # (theorems, required options, optional options with defaults); every
-    # option but --group is an int.  No abbreviations: `sequence` would
-    # read --n as --n-max.
-    for names, required, optional in [
-        (("main", "corollary", "kneser-pairs"), ("--group",), {}),
-        (("kneser",), ("--group", "--seed"), {"--m-max": 5, "--trials": 1000}),
-        (("sequence",), ("--group", "--seed"), {"--n-max": 12, "--trials": 1000}),
-        (("olson",), ("--p",), {}),
-        (("vu",), ("--n",), {"--sample": None, "--seed": None}),
-        (("interval",), ("--n",), {}),
+    # (theorems, required options, optional options with defaults, check);
+    # every option but --group is an int.  No abbreviations: `sequence` would
+    # read --n as --n-max.  A check looks its verifier up in `vf` when it
+    # runs, so a rebound `vf` attribute (a tracer's wrapper) is the one called.
+    for names, required, optional, check in [
+        (("main", "corollary", "kneser-pairs"), ("--group",), {},
+         lambda a: vf.exhaustive_theorem(parse_group(a.group), a.theorem)),
+        (("kneser",), ("--group", "--seed"), {"--m-max": 5, "--trials": 1000},
+         lambda a: vf.random_kneser([parse_group(s) for s in a.group.split(";")],
+                                    a.m_max, a.trials, a.seed)),
+        (("sequence",), ("--group", "--seed"), {"--n-max": 12, "--trials": 1000},
+         lambda a: vf.random_sequence_theorem(parse_group(a.group), a.n_max,
+                                              a.trials, a.seed)),
+        (("olson",), ("--p",), {}, lambda a: vf.olson_check(a.p)),
+        (("vu",), ("--n",), {"--sample": None, "--seed": None},
+         lambda a: vf.vu_check(a.n, sample=a.sample, seed=a.seed)),
+        (("interval",), ("--n",), {}, lambda a: vf.interval_example(a.n)),
     ]:
         for name in names:
             t = theorems.add_parser(name, allow_abbrev=False)
@@ -306,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
             for option, default in optional.items():
                 t.add_argument(option, type=int, default=default)
             t.add_argument("--json", action="store_true")
+            t.set_defaults(check=check)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="search for extremal low-|Sigma| sets")

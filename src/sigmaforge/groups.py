@@ -67,10 +67,11 @@ def max_order() -> int:
 class Group:
     """Z_{n1} x ... x Z_{nk} with elements indexed in mixed radix.
 
-    Immutable apart from `_full`: None until `_full_set` (or
-    `setcalc.subset_sums`, inline) stores G there as a `GroupSet`, once.
-    That set names its group, a reference cycle the cyclic garbage
-    collector frees.  Equal groups each store their own set.
+    Immutable.  `_full` is G as a `GroupSet`, built in `__init__` on the
+    same `full_mask` int, so no second |G|-bit integer is made; the
+    results equal to G share it.  That set names its group, a reference
+    cycle the cyclic garbage collector frees.  Equal groups each store
+    their own set.
     """
 
     __slots__ = ("factors", "order", "strides", "full_mask", "_digits", "_full")
@@ -106,7 +107,7 @@ class Group:
             keep1 = (unit << (n - 1) * stride) - unit if len(factors) > 1 else None
             digits.append((n, stride, unit, keep1))
         self._digits = tuple(digits)
-        self._full = None
+        self._full = GroupSet(self, self.full_mask)
 
     # -- element arithmetic on raw indices ---------------------------------
 
@@ -223,7 +224,7 @@ class GroupSet:
 
     A set is a value: nothing assigns its `group` or `mask` after
     `__init__`.  Every result equal to G is one object per group (its
-    `_full`), so mutating a set would change them all.
+    `_full`, built with the group), so mutating a set would change them all.
     """
 
     __slots__ = ("group", "mask")
@@ -359,14 +360,6 @@ class GroupSet:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.group.spec()}, {{{self.literal()}}})"
-
-
-def _full_set(group: Group) -> GroupSet:
-    """G as the `GroupSet` stored on `group`, built on the first call."""
-    full = group._full
-    if full is None:
-        full = group._full = GroupSet(group, group.full_mask)
-    return full
 
 
 def _iter_bits(mask: int):

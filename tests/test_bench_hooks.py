@@ -17,9 +17,10 @@ import sys
 sys.dont_write_bytecode = True
 sys.path[:0] = [{src!r}, {bench!r}]
 import spans
+from sigmaforge import cli, make_group, verify
+{setup}
 tracer = spans.Tracer()
 tracer.install()
-from sigmaforge import cli, make_group, verify
 """
 
 LAYERS = """
@@ -66,8 +67,22 @@ assert m["setcalc.stabilizer.self_s"] > 0, m
 """
 
 
-def run_traced(body):
-    script = PREAMBLE.format(src=str(ROOT / "src"), bench=str(ROOT / "bench")) + body
+# `verify olson` through the CLI, whose parser is built before the tracer
+# rebinds the verifiers: a theorem-table row that held the function object
+# would call the untraced one and count no instances
+CLI_VERIFY = """
+assert cli.main(["verify", "olson", "--p", "7", "--json"]) == 0
+m = tracer.layer_metrics(1.0)
+assert m["verify.instances"] == 22, m
+assert m["verify.evaluations_per_instance"] == 1.0, m
+assert m["cli.calls"] == 1, m
+"""
+
+
+def run_traced(body, setup=""):
+    script = PREAMBLE.format(
+        src=str(ROOT / "src"), bench=str(ROOT / "bench"), setup=setup
+    ) + body
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
     )
@@ -88,3 +103,7 @@ def test_sampled_vu_runs_one_subset_sums_per_instance():
 
 def test_sequence_rotations_are_traced():
     run_traced(SEQUENCE)
+
+
+def test_cli_verify_reaches_the_traced_verifier():
+    run_traced(CLI_VERIFY, setup="cli.build_parser()")

@@ -581,6 +581,14 @@ def test_verify_human_output(capsys):
         "vu on Z10 [exhaustive]: vacuous\n"
         "stats: {'instances': 0, 'threshold': 26, 'phi': 4, 'vacuous': True}\n"
     )
+    # interval prints its record, with no verdict, stats or elapsed line
+    code, out, err = run(capsys, "verify", "interval", "--n", "2")
+    assert code == 0 and err == ""
+    assert out == (
+        "n = 2, embedded in Z15\n"
+        "|Sigma| = 7 (derived formula 7, paper-printed value 3)\n"
+        "|stab| = 1\n"
+    )
 
 
 def test_verify_human_output_lists_ten_counterexamples(capsys, monkeypatch):

@@ -598,6 +598,18 @@ def _full_results(g, mask, other, terms):
     }
 
 
+@pytest.mark.parametrize("factors", [(1,), (5,), (12,), (2, 4), (2, 2, 2)])
+def test_a_fresh_group_stores_g_before_any_operation(factors):
+    g = make_group(factors)
+    stored = g._full
+    assert type(stored) is GroupSet and stored.group is g
+    assert stored.mask is g.full_mask  # the group's int, not a second one
+    assert stored == GroupSet.full(g) and repr(stored) == repr(GroupSet.full(g))
+    producers = _full_results(g, g.full_mask, g.full_mask, range(g.order))
+    for name, produce in producers.items():
+        assert produce() is stored, name
+
+
 @given(
     st.sampled_from([(1,), (2,), (5,), (12,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]),
     st.data(),
