@@ -29,6 +29,8 @@ DEFAULT_MAX_ORDER = 1 << 20
 _MAX_ORDER_ENV = "SIGMAFORGE_MAX_ORDER"
 # the most entries a digit-run table of `GroupSet.literal` may have
 _RUN_TABLE_MAX = 64
+# "00;01;...;99": the low two digits of the numbers in a decimal block of 100
+_TWO_DIGITS = ";".join(f"{i:02}" for i in range(100))
 
 
 class InvalidGroupError(ValueError):
@@ -291,22 +293,41 @@ class GroupSet:
         few members there are, and the `mask & -mask` of `_iter_bits` costs
         a negation more per member.
 
-        The full set is built by string replication instead, with no
-        `members()`, table or per-element Python code: indices are mixed
-        radix with the first digit fastest, so the full set in index order
-        is, for each value d of the highest digit in turn, every literal of
-        the lower digits followed by `,d`.  So the lower digits' text is
-        copied n times, and in the d-th copy each element's end (each `;`
-        and the text's end) becomes `,d`.
+        The full set is built by copying whole blocks of text instead, with
+        no `members()`, table or per-element Python code:
+
+        - First factor n_1, in decimal blocks of 100: for p >= 1 the numbers
+          100p .. 100p + 99 print as str(p) followed by their two zero-padded
+          low digits, so block p is str(p) + `_TWO_DIGITS` with each `;`
+          followed by str(p).  Block 0 and the tail range(100q, n_1),
+          q = n_1 // 100, are printed directly.
+        - Higher factors: indices are mixed radix with the first digit
+          fastest, so G in index order is the low digits' literals, repeated
+          once per value of the high digits in index order, each element's
+          end (each `;` and the text's end) followed by that value's suffix
+          `,d_h,...,d_k`.  Levels are added to the low text one at a time
+          while it holds fewer than sqrt(|G|) elements; the remaining
+          digits make the suffix list, first high digit fastest, and one
+          join copies the low text once per suffix.
         """
         if self.mask == self.group.full_mask:
-            factors = self.group.factors
-            text = ";".join(map(str, range(factors[0])))
-            for n in factors[1:]:
-                text = ";".join(
-                    text.replace(";", f",{d};") + f",{d}" for d in range(n)
-                )
-            return text
+            n, *high = self.group.factors
+            blocks = [";".join(map(str, range(min(n, 100))))]
+            blocks += [
+                p + _TWO_DIGITS.replace(";", ";" + p) for p in map(str, range(1, n // 100))
+            ]
+            if n > 100 and n % 100:
+                blocks.append(";".join(map(str, range(n - n % 100, n))))
+            text, count, suffixes = ";".join(blocks), n, [""]
+            for n in high:
+                if count * count < self.group.order:
+                    text = ";".join(
+                        text.replace(";", f",{d};") + f",{d}" for d in range(n)
+                    )
+                    count *= n
+                else:
+                    suffixes = [f"{s},{d}" for d in range(n) for s in suffixes]
+            return ";".join(text.replace(";", s + ";") + s for s in suffixes)
         if self.card < len(self.group.factors):
             rest, parts = self.mask, []
             while rest:
@@ -366,8 +387,8 @@ def _iter_bits(mask: int):
     """Set bit positions, lowest first, lazily.
 
     The scan of `sumset`'s early-exit rotation loop, the greedy argmax loops
-    in `construct`, `fold_to_quotient` and the lazy Kneser literal in
-    `verify`.
+    in `construct`, `fold_to_quotient`, and in `verify` the lazy Kneser
+    literal and the hill-climb of `extremal_search`.
     `subset_sums` peels its bits inline instead, since it runs once per
     verified instance.  Kept apart from `GroupSet.members`: a lazy
     `find`-scan generator measured 20-70% slower on masks of at most 73
@@ -663,7 +684,8 @@ def parse_index(group: Group, literal: str) -> int:
     """Index of the element literal `c1,...,ck`; coordinates wrap mod n_i.
 
     Each coordinate is reduced into [0, n_i), so the index is in range
-    by construction and needs no second check.
+    by construction and needs no second check.  A coordinate that is not
+    an integer raises a `ValueError` naming the literal and the group.
     """
     parts = literal.split(",")
     if len(parts) != len(group.factors):
@@ -671,8 +693,13 @@ def parse_index(group: Group, literal: str) -> int:
             f"element {literal!r} needs {len(group.factors)} coordinates"
         )
     index = 0
-    for p, n, stride in zip(parts, group.factors, group.strides):
-        index += int(p) % n * stride
+    try:
+        for p, n, stride in zip(parts, group.factors, group.strides):
+            index += int(p) % n * stride
+    except ValueError:
+        raise ValueError(
+            f"element {literal!r} of {group.spec()} needs integer coordinates"
+        ) from None
     return index
 
 

@@ -133,6 +133,13 @@ def test_sigma_parse_error_exit_2(capsys):
     assert "error" in err
 
 
+def test_sigma_empty_element_is_named_exit_2(capsys):
+    for option, literal in (("--set", "1;;2"), ("--set", "1;2;"), ("--seq", "1:2;;3")):
+        code, out, err = run(capsys, "sigma", "--group", "Z6", option, literal)
+        assert code == 2 and out == "", literal
+        assert err == "error: element '' of Z6 needs integer coordinates\n", literal
+
+
 def test_sigma_set_and_seq_are_exclusive(capsys):
     code, out, err = run(capsys, "sigma", "--group", "Z6", "--set", "1", "--seq", "5:2")
     assert code == 2 and out == ""

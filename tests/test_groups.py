@@ -121,9 +121,14 @@ def test_encode_decode_roundtrip(factors, data):
 LITERAL_GROUPS = [
     (1,), (4096,), (1, 5), (7, 1, 3), (2,) * 12, (64, 64), (2, 2048), (4, 8, 64),
 ]
+# G's literal is built from decimal blocks of 100 of the first factor: cyclic
+# orders at block boundaries, and products with a large first factor
+FULL_LITERAL_GROUPS = [
+    (99,), (100,), (101,), (199,), (200,), (1000,), (1001,), (101, 2), (1000, 3),
+]
 
 
-@pytest.mark.parametrize("factors", LITERAL_GROUPS)
+@pytest.mark.parametrize("factors", LITERAL_GROUPS + FULL_LITERAL_GROUPS)
 @settings(max_examples=25, deadline=None)
 @given(drawn=st.lists(st.integers(1, 6), min_size=1, max_size=4))
 def test_literal_of_empty_and_full_sets(factors, drawn):
@@ -377,6 +382,17 @@ def test_parse_index_wraps_and_rejects():
     for bad in ("3", "1,1,1", "1,x", "1.0,1", ""):
         with pytest.raises(ValueError):
             parse_index(g, bad)
+
+
+def test_parse_index_names_an_element_that_is_not_an_integer():
+    for spec, bad in (("Z6", ""), ("Z6", " "), ("Z6", "x"), ("Z12xZ2", "1,x"),
+                      ("Z12xZ2", "1.0,1"), ("Z12xZ2", ",1")):
+        g = parse_group(spec)
+        with pytest.raises(ValueError) as info:
+            parse_index(g, bad)
+        assert str(info.value) == f"element {bad!r} of {spec} needs integer coordinates"
+    with pytest.raises(ValueError, match="element '3' needs 2 coordinates"):
+        parse_index(parse_group("Z12xZ2"), "3")
 
 
 @pytest.mark.parametrize(

@@ -531,6 +531,16 @@ def test_olson_witness_near_tightness():
     assert w["missing_half"]
 
 
+def test_a_set_one_below_the_olson_threshold_misses_a_residue_p13():
+    # 5 = isqrt(4·13 - 7) - 1 members: the sums of 1..4 are 0..10, and
+    # adding 12 gives 12 and 0..9, so 11 is missed
+    g = make_group([13])
+    A = [1, 2, 3, 4, 12]
+    assert len(A) == verify.olson_threshold(13) - 1 == math.isqrt(45) - 1
+    sigma = subset_sums(GroupSet.from_indices(g, A)).members()
+    assert sigma == naive_sigma(g, A) == [i for i in range(13) if i != 11]
+
+
 def test_vu_vacuous_and_threshold_arithmetic():
     run = vu_check(10)
     assert run.verdict == "vacuous"
