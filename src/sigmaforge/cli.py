@@ -56,7 +56,10 @@ def parse_sequence(group: Group, literal: str) -> SequenceMS:
     for part in literal.split(";"):
         if ":" in part:
             elem, mult = part.rsplit(":", 1)
-            m = int(mult)
+            try:
+                m = int(mult)
+            except ValueError:
+                m = 0  # reported below as a bad multiplicity
         else:
             elem, m = part, 1
         if m < 1:

@@ -7,7 +7,7 @@ A `Group` is immutable: per invariant factor it keeps a bitmap of block
 starts and, on a product group, the kept mask of a rotation by 1; each
 other rotation derives its mask from the block starts, so translating by
 any number of distinct elements stores nothing; its one other slot holds
-G as a `GroupSet`, built the first time a result equals G.
+G as a `GroupSet`, built with the group.
 Every subset of a group is a `GroupSet` on that bitmap, a value never
 mutated; a `Subgroup` is a `GroupSet` known to be closed, so a subgroup
 equals, hashes like and adds with the plain set of the same elements.

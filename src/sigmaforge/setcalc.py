@@ -348,7 +348,19 @@ def _stabilizer_mask(group: Group, mask: int) -> int:
     H = {0} with no rotation, and G[d] bounds the candidates below.  It is
     all of G when every n_i divides d, and is then not built.
 
-    Candidate refinement.  S + g = S iff (G \\ S) + g = G \\ S, since
+    Subgroup chain, on Z_n (one invariant factor).  H is found with no
+    candidate set:
+    - Z_n has exactly one subgroup of each order e | n, G[e] = <n/e>, so
+      H = G[e0] for e0 = |H|, which divides d;
+    - n/q^j has order q^j, so it lies in G[e0] iff q^j | e0: for each prime
+      q of d the tests S + n/q = S, S + n/q^2 = S, ... pass up to
+      j = v_q(e0) and fail after it, and e0 is the product of the prime
+      powers that passed.
+    The primes of d come from trial division, about sqrt(d) steps; each
+    test is one rotation, at most v_q(d) per prime.
+
+    Candidate refinement, on a product group, whose G[d] can hold many
+    subgroups of one order.  S + g = S iff (G \\ S) + g = G \\ S, since
     translation by g is a bijection of G; so S is replaced by its complement
     when that is smaller (|G \\ S| gives the same d).  The loop keeps a
     subgroup H and a candidate set C with H ⊆ stab(S) ⊆ C:
@@ -376,6 +388,25 @@ def _stabilizer_mask(group: Group, mask: int) -> int:
     d = gcd(card, group.order)
     if d == 1:
         return 1
+    if len(group.factors) == 1:
+        n, e, q = group.order, 1, 1
+        while d > 1:
+            q += 1
+            if q * q > d:
+                q = d  # no factor up to sqrt(d): d is prime
+            if d % q:
+                continue
+            j = 0
+            while d % q == 0:  # j = v_q(d)
+                d //= q
+                j += 1
+            step = n
+            for _ in range(j):
+                step //= q
+                if _shift_mask(group, mask, step) != mask:
+                    break
+                e *= q
+        return 1 if e == 1 else _torsion_mask(group, e)
     if 2 * card > group.order:
         mask ^= full
     m0 = (mask & -mask).bit_length() - 1

@@ -415,10 +415,14 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_bad_multiplicity_exit_2(capsys):
-    for seq in ("1:0", "1:-2", "1:2;1:-1"):
+    for seq in ("1:0", "1:-2", "1:2;1:-1", "1:x", "2;1:"):
         code, _, err = run(capsys, "sigma", "--group", "Z9", "--seq", seq)
         assert code == 2, seq
         assert "multiplicit" in err, seq
+    # a multiplicity that is not an integer gets the same message, not int()'s
+    assert run(capsys, "sigma", "--group", "Z6", "--seq", "1:x")[2] == (
+        "error: bad multiplicity in '1:x'\n"
+    )
 
 
 def test_parse_helpers():

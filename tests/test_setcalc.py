@@ -688,15 +688,18 @@ def test_stabilizer_matches_shift_oracle(factors, data):
 
 @given(
     st.sampled_from(
-        [(12,), (64,), (2, 2, 2, 2), (4, 8), (2, 4, 8), (3, 3, 2), (6, 6), (3, 9), (60,)]
+        [(12,), (64,), (2, 2, 2, 2), (4, 8), (2, 4, 8), (3, 3, 2), (6, 6), (3, 9), (60,),
+         (30,), (72,), (210,), (194,)]
     ),
     st.booleans(),
     st.data(),
 )
-@settings(max_examples=120)
+@settings(max_examples=180)
 def test_stabilizer_of_coset_unions_matches_shift_oracle(factors, large, data):
     # a union of K-cosets has K inside its stabilizer, so the refinement
-    # grows H past {0}, which random sets seldom make it do
+    # grows H past {0}, which random sets seldom make it do; the cyclic
+    # orders 30, 60, 72 and 210 have two to four primes, and 194 = 2·97 a
+    # prime that trial division takes as what is left past its square root
     g = make_group(factors)
     gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=2))
     K = generated_subgroup(g, gset(g, gens))
@@ -738,6 +741,21 @@ def test_stabilizer_rotation_budget(monkeypatch):
         K = generated_subgroup(z4096, gset(z4096, [4096 >> k]))
         H, n = rotations(K)
         assert H == K and n <= k + 2, (k, n)
+    # G[2^j], a coset of it and unions of its cosets on Z16 and Z4096: one
+    # test per power of 2 up to v_2(d), d = gcd(|S|, n), and no doubling
+    rng = random.Random(7)
+    for g, js in ((make_group([16]), range(5)), (z4096, (0, 1, 3, 7, 11))):
+        for j in js:
+            K = Subgroup(g, groups._torsion_mask(g, 1 << j))
+            drawn = [rng.sample(range(g.order), rng.randint(2, 6)) for _ in range(6)]
+            for reps in [[0], [1]] + drawn:
+                S = sumset(gset(g, reps), K)
+                H, n = rotations(S)
+                oracle = [x for x in range(g.order) if _shift_mask(g, S.mask, x) == S.mask]
+                assert H.members() == oracle and H.mask & K.mask == K.mask, (g, j, reps)
+                d = math.gcd(S.card, g.order)
+                v = (d & -d).bit_length() - 1  # v_2(d)
+                assert n <= v + 1, (g, j, n, v)
     # G \ {z} is handled as {z}: stab is {0} after one shift
     H, n = rotations(GroupSet(z4096, z4096.full_mask ^ 1 << 1234))
     assert H == gset(z4096, [0]) and n <= 2
