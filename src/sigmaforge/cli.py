@@ -7,7 +7,10 @@ diagnostics go to stderr.  Every option a command accepts is read: each
 it reads and the verifier `_cmd_verify` calls, and its sub-parser declares
 exactly those (`vu` refuses `--sample`/`--seed` where it enumerates);
 `bound` refuses (`_reject_unread`) the options its `--which` does not
-read, so an unread option exits 2 instead of being ignored.
+read, so an unread option exits 2 instead of being ignored.  The two
+exceptions are `search --exhaustive` and `construct --greedy`: each names
+its command's default mode and only excludes its sibling flag
+(`--hillclimb`, `--exact`).
 """
 
 from __future__ import annotations

@@ -22,11 +22,11 @@ function that takes it:
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, combinations, compress, product, zip_longest
 
 from .groups import (
@@ -116,30 +116,29 @@ class ExtremalRecord:
         return _canonical_json(self.to_dict())
 
 
-def _verify(instances, evaluate, literal, key=None, extra_stats=None, **run_fields):
+def _verify(instances, evaluate, literal, precedes=operator.lt, extra_stats=None, **run_fields):
     """Evaluate every instance in order and assemble the run.
 
     `evaluate(inst)` returns `(slack, payload)`, where `payload` is the
     counterexample record, or None when the instance satisfies the bound.
-    The witness is the instance with the least `(slack, key(inst))`;
-    `key=None` compares the instances themselves, with no call.  `key` is
-    only computed for instances that can still win, and `literal` formats
-    the witness once, at the end.  `run_fields` are the remaining
-    `VerificationRun` fields.
+    The witness is the least instance by slack, then by `precedes`, and the
+    first among equals: `precedes(inst, best)` is only called on a slack
+    tie, and `literal` formats the witness once, at the end.  `run_fields`
+    are the remaining `VerificationRun` fields.
     """
     t0 = time.perf_counter()
     counterexamples = []
     count = 0
-    best_slack = best_key = best = None
+    best_slack = best = None
     for inst in instances:
         count += 1
         slack, payload = evaluate(inst)
         if payload is not None:
             counterexamples.append(payload)
-        if best_slack is None or slack <= best_slack:
-            k = inst if key is None else key(inst)
-            if best_slack is None or slack < best_slack or k < best_key:
-                best_slack, best_key, best = slack, k, inst
+        if best_slack is None or slack < best_slack or (
+            slack == best_slack and precedes(inst, best)
+        ):
+            best_slack, best = slack, inst
     witness = None if best_slack is None else literal(best)
     return _run(t0, count, counterexamples, best_slack, witness, extra_stats, **run_fields)
 
@@ -195,8 +194,11 @@ def exhaustive_theorem(group: Group, theorem: str) -> VerificationRun:
         )
     nonempty = [GroupSet(group, mask) for mask in range(1, 1 << group.order)]
 
-    def key(pair):
-        return pair[0].members(), pair[1].members()
+    def precedes(p, q):
+        # the A sides' member lists, or the B sides' when p and q share A:
+        # pairs reuse the sets of `nonempty`, whose member lists are distinct
+        i = p[0] is q[0]
+        return p[i].members() < q[i].members()
 
     def literal(pair):
         return f"{pair[0].literal()}|{pair[1].literal()}"
@@ -204,7 +206,7 @@ def exhaustive_theorem(group: Group, theorem: str) -> VerificationRun:
     return _verify(
         product(nonempty, repeat=2),
         _bound_evaluate(kneser_bound, lambda pair: {"sets": literal(pair)}),
-        literal, key, theorem=theorem, group=group.spec(), mode="exhaustive",
+        literal, precedes, theorem=theorem, group=group.spec(), mode="exhaustive",
     )
 
 
@@ -357,28 +359,14 @@ def _kneser_text(inst):
 def _text_lt(xs, ys) -> bool:
     """`"".join(xs) < "".join(ys)`, reading both only up to the first difference.
 
-    The empty fill sorts a text that is a prefix of the other first, as
-    `str` comparison does.
+    Slack ties are common (Kneser equality; on Z2^n every sequence ties at
+    0, as Sigma is a subgroup), and a literal can list thousands of
+    elements, while two instances usually differ early.  The empty fill
+    sorts a text that is a prefix of the other first, as `str` comparison
+    does.
     """
     pairs = zip_longest(chain.from_iterable(xs), chain.from_iterable(ys), fillvalue="")
     return next((a < b for a, b in pairs if a != b), False)
-
-
-class _TextKey:
-    """Orders instances as their literals, `"".join(pieces(inst))`, read lazily.
-
-    Slack ties are common (Kneser equality; on Z2^n every sequence ties at
-    0, as Sigma is a subgroup), and a literal can list thousands of
-    elements, while two instances usually differ early.
-    """
-
-    __slots__ = ("pieces", "inst")
-
-    def __init__(self, pieces, inst):
-        self.pieces, self.inst = pieces, inst
-
-    def __lt__(self, other):
-        return _text_lt(self.pieces(self.inst), other.pieces(other.inst))
 
 
 def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun:
@@ -411,7 +399,8 @@ def random_kneser(groups, m_max: int, trials: int, seed: int) -> VerificationRun
         lambda inst: {"group": inst[0].spec(), "sets": literal(inst)},
     )
     return _verify(
-        instances(), evaluate, literal, key=partial(_TextKey, _kneser_text),
+        instances(), evaluate, literal,
+        lambda a, b: _text_lt(_kneser_text(a), _kneser_text(b)),
         theorem="kneser", group=";".join(g.spec() for g in groups),
         mode="random", seed=seed, trials=trials,
     )
@@ -450,7 +439,7 @@ def random_sequence_theorem(
     evaluate = _bound_evaluate(sequence_bound_check, lambda a: {"sequence": a.literal()})
     return _verify(
         instances(), evaluate, SequenceMS.literal,
-        key=partial(_TextKey, SequenceMS.literal_pieces),
+        lambda a, b: _text_lt(a.literal_pieces(), b.literal_pieces()),
         theorem="sequence", group=group.spec(),
         mode="random", seed=seed, trials=trials,
     )

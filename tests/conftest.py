@@ -196,6 +196,32 @@ def exhaustive_loop(group, theorem):
     )
 
 
+def kneser_pairs_loop(group):
+    """`exhaustive_theorem(group, "kneser-pairs")`, one pair at a time.
+
+    Pairs (A, B) of nonempty subsets are checked in mask order, which is the
+    counterexample order; the witness is the least
+    (slack, (members of A, members of B)).
+    """
+    counterexamples = []
+    best = None  # ((slack, members), literal)
+    nonempty = range(1, 1 << group.order)
+    for a, b in itertools.product(nonempty, repeat=2):
+        A, B = GroupSet(group, a), GroupSet(group, b)
+        literal = f"{A.literal()}|{B.literal()}"
+        rep = kneser_bound((A, B))
+        if not rep.holds:
+            counterexamples.append({"sets": literal, "report": rep.to_dict()})
+        key = (rep.lhs - rep.rhs, (A.members(), B.members()))
+        if best is None or key < best[0]:
+            best = (key, literal)
+    stats = {"instances": len(nonempty) ** 2, "min_slack": best[0][0], "witness": best[1]}
+    return VerificationRun(
+        theorem="kneser-pairs", group=group.spec(), mode="exhaustive",
+        counterexamples=counterexamples, stats=stats,
+    )
+
+
 def search_loop(group, k):
     """`extremal_search(group, k)` over `itertools.combinations`."""
     best = None  # (|Sigma|, idxs)

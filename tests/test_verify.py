@@ -31,7 +31,7 @@ from sigmaforge import (
 from sigmaforge import groups
 from sigmaforge.setcalc import subset_walk
 from sigmaforge.verify import (
-    _TextKey, _kneser_text, _precedes, _sample, _subset_masks, _text_lt, vu_threshold,
+    _kneser_text, _precedes, _sample, _subset_masks, _text_lt, _verify, vu_threshold,
 )
 import conftest
 from conftest import (
@@ -41,6 +41,7 @@ from conftest import (
     exhaustive_loop,
     hillclimb_loop,
     kneser_loop,
+    kneser_pairs_loop,
     naive_sigma,
     search_loop,
     sequence_loop,
@@ -72,6 +73,26 @@ def test_exhaustive_kneser_pairs():
     run = exhaustive_theorem(make_group([6]), "kneser-pairs")
     assert run.verdict == "verified"
     assert run.stats["instances"] == 63 * 63
+
+
+@pytest.mark.parametrize("spec", ["Z3", "Z5", "Z6", "Z2xZ2", "Z2xZ3"])
+def test_exhaustive_kneser_pairs_matches_loop(spec):
+    g = parse_group(spec)
+    run = exhaustive_theorem(g, "kneser-pairs")
+    assert run.to_json() == kneser_pairs_loop(g).to_json()
+
+
+def test_kneser_pairs_ties_compare_b_when_a_is_shared(monkeypatch):
+    # every pair whose B holds element 1 ties at slack 0: with A = {0},
+    # B = {1} comes first in mask order but {0, 1} first by member list
+    def fake(pair):
+        return BoundReport("fake", int(1 not in pair[1].members()), 0, True)
+
+    for module in (verify, conftest):
+        monkeypatch.setattr(module, "kneser_bound", fake)
+    assert exhaustive_theorem(make_group([2]), "kneser-pairs").stats["witness"] == "0|0;1"
+    g = parse_group("Z2xZ2")
+    assert exhaustive_theorem(g, "kneser-pairs").to_json() == kneser_pairs_loop(g).to_json()
 
 
 def test_exhaustive_capacity():
@@ -308,6 +329,50 @@ def test_random_verifiers_reject_empty_size_ranges():
     assert run.verdict == "verified" and run.stats["witness"] == ""
 
 
+# (name, tag, slack): ties at slack 5 and 1, strict improvements at 3 and 1,
+# and ("e", 1) equal by name to the earlier ("e", 0)
+TIE_STREAM = [
+    ("x", 0, 5), ("m", 0, 5), ("z", 0, 5), ("k", 0, 3), ("q", 0, 4),
+    ("e", 0, 1), ("f", 0, 1), ("e", 1, 1), ("a", 0, 2), ("g", 0, 1),
+]
+
+
+def _tie_run(precedes):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return precedes(a, b)
+
+    run = _verify(
+        iter(TIE_STREAM), lambda inst: (inst[2], None), lambda inst: f"{inst[0]}{inst[1]}",
+        counted, theorem="t", group="g", mode="m",
+    )
+    return run, calls
+
+
+def test_verify_calls_precedes_once_per_tie():
+    x, m, z, k, q, e, f, e1, a, g = TIE_STREAM
+    run, calls = _tie_run(lambda a, b: a[0] < b[0])
+    # none for the first instance or a strict improvement, one per tie
+    assert calls == [(m, x), (z, m), (f, e), (e1, e), (g, e)]
+    # the least by (slack, name), and the first among equals
+    least = min(TIE_STREAM, key=lambda inst: (inst[2], inst[0]))
+    assert least == e
+    assert run.stats == {"instances": 10, "min_slack": 1, "witness": "e0"}
+
+    run, calls = _tie_run(lambda a, b: a[0] > b[0])
+    assert calls == [(m, x), (z, x), (f, e), (e1, f), (g, f)]
+    assert run.stats["witness"] == "g0"
+
+    # the default compares the instances themselves
+    run = _verify(
+        iter(TIE_STREAM), lambda inst: (inst[2], None), str,
+        theorem="t", group="g", mode="m",
+    )
+    assert run.stats["witness"] == str(min(TIE_STREAM, key=lambda inst: (inst[2], inst)))
+
+
 def _kneser_literal(inst):
     g, sets = inst
     return f"{g.spec()}:" + "|".join(s.literal() for s in sets)
@@ -342,8 +407,7 @@ def test_kneser_key_orders_as_literals():
     for a in instances:
         for b in instances:
             lit_a, lit_b = _kneser_literal(a), _kneser_literal(b)
-            key_a, key_b = _TextKey(_kneser_text, a), _TextKey(_kneser_text, b)
-            assert (key_a < key_b) == (lit_a < lit_b), (lit_a, lit_b)
+            assert _text_lt(_kneser_text(a), _kneser_text(b)) == (lit_a < lit_b), (lit_a, lit_b)
 
     z2_3 = parse_group("Z2xZ2xZ2")
     sequences = [
@@ -367,7 +431,7 @@ def test_kneser_key_orders_as_literals():
         for b in sequences:
             lit_a, lit_b = a.literal(), b.literal()
             assert lit_a == "".join(pieces(a))
-            assert (_TextKey(pieces, a) < _TextKey(pieces, b)) == (lit_a < lit_b), (lit_a, lit_b)
+            assert _text_lt(pieces(a), pieces(b)) == (lit_a < lit_b), (lit_a, lit_b)
 
 
 def test_text_lt_ignores_piece_boundaries():
