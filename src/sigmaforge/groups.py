@@ -584,6 +584,12 @@ class Quotient:
         # column t of Q for each factor d_t of G/H
         self._columns = [[row[t] for row in q] for t in kept]
 
+    def __eq__(self, other):  # one Smith form per (G, H); H == H' compares G too
+        return isinstance(other, Quotient) and self.subgroup == other.subgroup
+
+    def __hash__(self):
+        return hash(self.subgroup)
+
     @property
     def num_cosets(self):
         return self.quotient_group.order

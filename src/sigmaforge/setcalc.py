@@ -230,7 +230,7 @@ def subset_walk(group: Group, elems, size=None, settle=False, images=None):
     other child before rotating, yielding or settling it.
     - Every canonical set is reached.  The prefix B = A \\ {a}, a = max A,
       of a canonical A is canonical.  If phi(B) precedes B, the lowest x
-      of phi(B) ^ B lies in phi(B) (`verify._precedes`), and x < max B, or
+      of phi(B) ^ B lies in phi(B) (`verify._lex_lt`), and x < max B, or
       phi(B) would hold B ∪ {x} and outgrow it.  So x < a, and p = phi(a),
       which is outside phi(B) and, below x, outside B too, either moves
       the lowest difference down to p, in phi(A), or leaves it at x: phi(A)

@@ -22,7 +22,6 @@ function that takes it:
 from __future__ import annotations
 
 import math
-import operator
 import random
 import time
 from collections import Counter
@@ -116,7 +115,7 @@ class ExtremalRecord:
         return _canonical_json(self.to_dict())
 
 
-def _verify(instances, evaluate, literal, precedes=operator.lt, extra_stats=None, **run_fields):
+def _verify(instances, evaluate, literal, precedes, extra_stats=None, **run_fields):
     """Evaluate every instance in order and assemble the run.
 
     `evaluate(inst)` returns `(slack, payload)`, where `payload` is the
@@ -195,10 +194,9 @@ def exhaustive_theorem(group: Group, theorem: str) -> VerificationRun:
     nonempty = [GroupSet(group, mask) for mask in range(1, 1 << group.order)]
 
     def precedes(p, q):
-        # the A sides' member lists, or the B sides' when p and q share A:
-        # pairs reuse the sets of `nonempty`, whose member lists are distinct
-        i = p[0] is q[0]
-        return p[i].members() < q[i].members()
+        # the A sides' member lists, or the B sides' when the A sides are equal
+        i = p[0].mask == q[0].mask
+        return _lex_lt(p[i].mask, q[i].mask)
 
     def literal(pair):
         return f"{pair[0].literal()}|{pair[1].literal()}"
@@ -458,26 +456,6 @@ def olson_threshold(p: int) -> int:
     return math.isqrt(4 * p - 7)
 
 
-def _completeness(group, instances, **run_fields) -> VerificationRun:
-    """`_verify` over sampled `vu_check`'s unit tuples, whose Sigma must be
-    all of `group`.  The units are distinct in-range ints, so the sum of
-    their bits is their OR and needs no `GroupSet.from_indices` check.
-    """
-    bit = (1).__lshift__
-
-    def evaluate(inst):
-        sigma = subset_sums(GroupSet(group, sum(map(bit, inst))))
-        if sigma.mask == group.full_mask:
-            return 0, None
-        payload = {"set": literal(inst), "sigma_size": sigma.card}
-        return sigma.card - group.order, payload
-
-    def literal(inst):
-        return GroupSet(group, sum(map(bit, inst))).literal()
-
-    return _verify(instances, evaluate, literal, group=group.spec(), **run_fields)
-
-
 def _subset_masks(bits, t):
     """The bitmap of each set of at least `t` of `bits`, by size, each once.
 
@@ -541,10 +519,10 @@ def olson_check(p: int) -> VerificationRun:
     The size condition is read as a lower bound (the completeness
     direction that is actually checkable).
     """
+    if p > OLSON_CAP:  # before trial division, which takes sqrt(p) steps
+        raise CapacityError(f"p = {p} exceeds cap {OLSON_CAP}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > OLSON_CAP:
-        raise CapacityError(f"p = {p} exceeds cap {OLSON_CAP}")
     t = olson_threshold(p)
     return _exhaustive_completeness(
         Group([p]), range(1, p), t, extra_stats={"threshold": t},
@@ -554,9 +532,9 @@ def olson_check(p: int) -> VerificationRun:
 
 def olson_witness(p: int) -> dict:
     """The near-tightness set {-s,...,-1,1,...,s}, s = floor(sqrt(p))."""
+    group = Group([p])  # its order cap comes before trial division
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    group = Group([p])
     s = math.isqrt(p)
     idxs = [i % p for i in range(-s, s + 1) if i != 0]
     A = GroupSet.from_indices(group, idxs)
@@ -630,11 +608,18 @@ def vu_check(
         rng = random.Random(seed)
         for _ in range(sample):
             drawn = bin(_sample(rng, phi, rng.randint(t, phi)))[:1:-1]
-            yield tuple(compress(units, map("1".__eq__, drawn)))
+            yield GroupSet.from_indices(group, compress(units, map("1".__eq__, drawn)))
 
-    return _completeness(
-        group, sampled(), extra_stats=extra,
-        theorem="vu", mode="random", seed=seed, trials=sample,
+    def evaluate(inst):
+        sigma = subset_sums(inst)
+        if sigma.mask == group.full_mask:
+            return 0, None
+        return sigma.card - n, {"set": inst.literal(), "sigma_size": sigma.card}
+
+    return _verify(
+        sampled(), evaluate, GroupSet.literal, lambda a, b: _lex_lt(a.mask, b.mask),
+        extra_stats=extra, theorem="vu", group=group.spec(),
+        mode="random", seed=seed, trials=sample,
     )
 
 
@@ -665,17 +650,25 @@ def interval_example(n: int) -> dict:
     }
 
 
-def _precedes(a, b) -> bool:
-    """Whether rank `a` = (|Sigma|, k-set mask) sorts before rank `b`.
+def _lex_lt(a, b) -> bool:
+    """Whether bitmap `a`'s ascending member list sorts before bitmap `b`'s.
 
-    Sizes first, then member lists; every rank precedes None.  Two distinct k-sets first differ at
-    x = min(A ^ B): they share the members below x, and the one holding x
-    lists it where the other lists a larger member, so it comes first.
+    Let x = min(A ^ B); the lists agree below x.  If A holds x, A lists x
+    where B lists its next member, which is above x, or ends: a list that
+    ends there is a prefix of the other, and sorts first.  So A comes first
+    iff B has a member above x; likewise, if B holds x, iff A has none from
+    x up.  Equal sets have no x, and neither comes first.
     """
+    x = (a ^ b) & -(a ^ b)  # the bit of x; 0 when A = B
+    return b > x if a & x else a < x
+
+
+def _precedes(a, b) -> bool:
+    """Whether rank `a` = (|Sigma|, k-set mask) sorts before rank `b`:
+    sizes first, then member lists (`_lex_lt`); every rank precedes None."""
     if b is None or a[0] != b[0]:
         return b is None or a[0] < b[0]
-    d = a[1] ^ b[1]
-    return d & -d & a[1] != 0
+    return _lex_lt(a[1], b[1])
 
 
 def extremal_search(

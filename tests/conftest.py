@@ -438,9 +438,10 @@ class CountedWalk:
         return self.walk.send(value)
 
 
-def _patch_everywhere(monkeypatch, real, replacement):
-    """Bind `replacement` under every name that binds `real` in a `sigmaforge` module."""
-    for module in (sigmaforge, groups, setcalc, bounds, construct, verify, cli):
+def _patch_everywhere(monkeypatch, real, replacement, *more):
+    """Bind `replacement` under every name that binds `real` in a `sigmaforge`
+    module, or in one of the modules `more`."""
+    for module in (sigmaforge, groups, setcalc, bounds, construct, verify, cli, *more):
         for name, value in list(vars(module).items()):
             if value is real:
                 monkeypatch.setattr(module, name, replacement)

@@ -47,7 +47,7 @@ assert m["verify.instances"] == 23 + sum(math.comb(10, k) for k in range(6, 11))
 assert m["verify.evaluations_per_instance"] == 1.0, m
 """
 
-# sampled Vu keeps index tuples and stays on `_verify`
+# sampled Vu stays on `_verify`
 SAMPLED_VU = """
 verify.vu_check(293, sample=10, seed=7)
 m = tracer.layer_metrics(1.0)

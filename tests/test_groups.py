@@ -262,6 +262,17 @@ def test_quotient_examples():
     assert quotient(g, triv).num_cosets == 6
 
 
+def test_quotients_of_one_group_and_subgroup_are_equal():
+    g = make_group([2, 4])
+    h = GroupSet.from_indices(g, [0, 4])  # {(0, 0), (0, 2)}
+    q = quotient(g, h)
+    assert q == quotient(g, Subgroup(g, h.mask))
+    assert hash(q) == hash(quotient(g, Subgroup(g, h.mask)))
+    assert q != quotient(g, Subgroup.trivial(g))
+    assert q != quotient(make_group([8]), Subgroup.from_indices(make_group([8]), [0, 4]))
+    assert q != h and len({q, quotient(g, h), quotient(g, Subgroup.full(g))}) == 2
+
+
 def test_quotient_rejects_non_subgroup():
     g = make_group([6])
     with pytest.raises(InvalidSubgroupError):

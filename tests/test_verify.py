@@ -31,7 +31,7 @@ from sigmaforge import (
 from sigmaforge import groups
 from sigmaforge.setcalc import subset_walk
 from sigmaforge.verify import (
-    _kneser_text, _precedes, _sample, _subset_masks, _text_lt, _verify, vu_threshold,
+    _kneser_text, _lex_lt, _precedes, _sample, _subset_masks, _text_lt, _verify, vu_threshold,
 )
 import conftest
 from conftest import (
@@ -365,13 +365,6 @@ def test_verify_calls_precedes_once_per_tie():
     assert calls == [(m, x), (z, x), (f, e), (e1, f), (g, f)]
     assert run.stats["witness"] == "g0"
 
-    # the default compares the instances themselves
-    run = _verify(
-        iter(TIE_STREAM), lambda inst: (inst[2], None), str,
-        theorem="t", group="g", mode="m",
-    )
-    assert run.stats["witness"] == str(min(TIE_STREAM, key=lambda inst: (inst[2], inst)))
-
 
 def _kneser_literal(inst):
     g, sets = inst
@@ -575,6 +568,18 @@ def test_olson_rejects_composite_and_caps():
         olson_witness(4)
 
 
+def test_olson_caps_before_trial_division(monkeypatch):
+    # trial division of 10**16 + 61 takes seconds; each cap comes first
+    def refuse(p):
+        raise AssertionError("trial division ran")
+
+    monkeypatch.setattr(verify, "_is_prime", refuse)
+    with pytest.raises(CapacityError, match="exceeds cap"):
+        olson_check(10**16 + 61)
+    with pytest.raises(CapacityError, match="exceeds cap"):
+        olson_witness(10**16 + 61)
+
+
 def test_vu_and_interval_reject_small_n():
     with pytest.raises(ValueError, match="n must be >= 2"):
         vu_check(1)
@@ -670,14 +675,15 @@ def test_vu_check_matches_combinations_loop(n, t, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "check, instances",
-    [(lambda: olson_check(11), 386), (lambda: olson_check(13), 2510),
-     (lambda: vu_check(293, sample=10, seed=7), 10)],
+    "check, instances, extra",
+    [(lambda: olson_check(11), 386, 2), (lambda: olson_check(13), 2510, 2),
+     (lambda: vu_check(293, sample=10, seed=7), 10, 1)],
     ids=["olson-11", "olson-13", "vu-293-sampled"],
 )
-def test_completeness_builds_one_set_per_instance(check, instances, monkeypatch):
+def test_completeness_builds_one_set_per_instance(check, instances, extra, monkeypatch):
     # every Sigma is G, the group's stored set: one `GroupSet` per instance,
-    # plus G once and the witness literal's set
+    # plus G once; exhaustive runs build the witness literal's set too, while
+    # sampled Vu's witness is one of its instances
     built = 0
     init = GroupSet.__init__
 
@@ -689,7 +695,7 @@ def test_completeness_builds_one_set_per_instance(check, instances, monkeypatch)
     monkeypatch.setattr(GroupSet, "__init__", counting)
     run = check()
     assert run.stats["instances"] == instances and run.stats["min_slack"] == 0
-    assert built == instances + 2
+    assert built == instances + extra
 
 
 def test_vu_mode_choice_matches_the_exact_binomial_rule(monkeypatch):
@@ -718,7 +724,7 @@ def test_vu_vacuous_mode_does_not_depend_on_the_cap(monkeypatch):
 
 
 def test_vu_sampled_large_group_memory_and_time():
-    # bits of all 131,070 units would take about 1.1 GB; index tuples a few MB
+    # bits of all 131,070 units would take about 1.1 GB; a draw's bitmap 16 KB
     script = f"""
 import resource, sys
 sys.path.insert(0, {SRC!r})
@@ -751,7 +757,7 @@ COMPLETENESS_CASES = [("olson", p) for p in (2, 3, 5, 7, 11)] + [
 @given(st.sampled_from(COMPLETENESS_CASES), st.data())
 @settings(max_examples=60, deadline=None)
 def test_completeness_encodings_match_loop(case, data):
-    """Bitmap (exhaustive) and index-tuple (sampled) instances vs the loop.
+    """Exhaustive and sampled bitmap instances vs the loop.
 
     Exhaustive instances are `_subset_masks` bitmaps: a k-set of m members
     is summed from its k members when 2k < m, else is the whole minus its
@@ -921,6 +927,15 @@ def test_extremal_search_rejects_bad_k_mode_and_capacity(monkeypatch):
     with pytest.raises(CapacityError, match=r"C\(12, 2\) exceeds enumeration cap 65"):
         extremal_search(g, 2)
     assert extremal_search(g, 1).feasible  # C(12, 1) = 12 is within the cap
+
+
+def test_lex_lt_is_member_list_order_on_every_pair_of_subsets():
+    # every pair of subsets of {0..6}: equal sets, prefixes and sizes apart
+    g = make_group([7])
+    lists = [GroupSet(g, mask).members() for mask in range(1 << 7)]
+    for a, xs in enumerate(lists):
+        for b, ys in enumerate(lists):
+            assert _lex_lt(a, b) == (xs < ys), (a, b)
 
 
 @given(st.integers(1, 6), st.data())
