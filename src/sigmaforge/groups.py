@@ -14,19 +14,19 @@ equals, hashes like and adds with the plain set of the same elements.
 A quotient G/H is an ordinary group on its invariant factors, read off
 the Smith normal form of H's lattice, together with the projection
 G -> G/H.
+A group's order is capped at `MAX_ORDER`, a module constant read at call
+time like the verifiers' caps; a larger one raises `CapacityError`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 import re
 from dataclasses import dataclass
 from itertools import accumulate
 
-DEFAULT_MAX_ORDER = 1 << 20
-_MAX_ORDER_ENV = "SIGMAFORGE_MAX_ORDER"
+MAX_ORDER = 1 << 20
 # the most entries a digit-run table of `GroupSet.literal` may have
 _RUN_TABLE_MAX = 64
 # "00;01;...;99": the low two digits of the numbers in a decimal block of 100
@@ -53,19 +53,6 @@ class CapacityError(RuntimeError):
     """An exact computation exceeds its configured desk-scale cap."""
 
 
-def max_order() -> int:
-    raw = os.environ.get(_MAX_ORDER_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{_MAX_ORDER_ENV} must be a positive integer, got {raw!r}")
-    return cap
-
-
 class Group:
     """Z_{n1} x ... x Z_{nk} with elements indexed in mixed radix.
 
@@ -87,11 +74,8 @@ class Group:
         for n in factors:
             strides.append(order)
             order *= n
-        if order > max_order():
-            raise CapacityError(
-                f"group order {order} exceeds cap {max_order()} "
-                f"(override via {_MAX_ORDER_ENV})"
-            )
+        if order > MAX_ORDER:
+            raise CapacityError(f"group order {order} exceeds cap {MAX_ORDER}")
         self.factors = factors
         self.order = order
         self.strides = tuple(strides)

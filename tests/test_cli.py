@@ -248,11 +248,16 @@ def test_verify_olson(capsys):
     assert json.loads(out)["verdict"] == "verified"
 
 
-def test_bad_max_order_env_exit_2(capsys, monkeypatch):
+def test_max_order_env_is_not_read(capsys, monkeypatch):
+    # the group-order cap is the module constant `groups.MAX_ORDER`
+    monkeypatch.delenv("SIGMAFORGE_MAX_ORDER", raising=False)
+    expected = run(capsys, "sigma", "--group", "Z6", "--set", "1")
+    assert expected[0] == 0
     monkeypatch.setenv("SIGMAFORGE_MAX_ORDER", "abc")
-    code, out, err = run(capsys, "sigma", "--group", "Z6", "--set", "1")
+    assert run(capsys, "sigma", "--group", "Z6", "--set", "1") == expected
+    code, out, err = run(capsys, "sigma", "--group", "Z1048577")
     assert code == 2 and out == ""
-    assert "SIGMAFORGE_MAX_ORDER" in err
+    assert "exceeds cap 1048576" in err
 
 
 def test_verify_vu_empty_sample_exit_2(capsys):

@@ -4,8 +4,10 @@ A mutant is a (function, old text, new text) triple and the named check
 that must catch it.  The old text must occur exactly once in the
 function's source, so a mutant whose site has moved fails loudly.  The
 mutated source is compiled in a copy of its module's namespace and bound
-under every name of the real function (`conftest._patch_everywhere`); the
-check must pass on the real code and fail, within a second, on the mutant.
+under every name of the real function (`conftest._patch_everywhere`), in
+the `sigmaforge` modules and in `CHECK_MODULES`, the test modules whose
+checks import it by name; the check must pass on the real code and fail,
+within a second, on the mutant.
 """
 
 import hashlib
@@ -16,8 +18,11 @@ import time
 
 import pytest
 
+import test_acceptance
+import test_groups
+import test_setcalc
 import test_verify
-from sigmaforge import verify, vu_check
+from sigmaforge import groups, setcalc, verify, vu_check
 from conftest import _patch_everywhere, completeness_loop
 from test_golden import CASES
 
@@ -56,7 +61,18 @@ def with_monkeypatch(test):
     return check
 
 
+def automorphisms_of(factor_lists):
+    """`test_automorphism_images_are_automorphisms` on each of `factor_lists`."""
+
+    def check():
+        for factors in factor_lists:
+            test_groups.test_automorphism_images_are_automorphisms(factors)
+
+    return check
+
+
 KNESER_GOLDENS = golden("kneser-pairs-Z4", "kneser-pairs-Z2xZ2")
+CHECK_MODULES = (test_acceptance, test_groups, test_setcalc, test_verify)
 
 # id: (function, old text, new text, check)
 MUTANTS = {
@@ -82,6 +98,35 @@ MUTANTS = {
         verify._verify, "and precedes(inst, best)", "and precedes(best, inst)",
         KNESER_GOLDENS,
     ),
+    # the pigeonhole bound one member early: Sigma taken as G when it is not
+    "subset-sums-need-off-by-one": (
+        setcalc.subset_sums, "need = n - rest.bit_count()", "need = n - rest.bit_count() - 1",
+        test_verify.test_a_set_one_below_the_olson_threshold_misses_a_residue_p13,
+    ),
+    "subset-sums-need-off-by-one-identities": (
+        setcalc.subset_sums, "need = n - rest.bit_count()", "need = n - rest.bit_count() - 1",
+        test_acceptance.test_criterion_04_identity_suite,
+    ),
+    # one more shear x_i += n_i·x_j, the identity map
+    "shear-range-one-step-long": (
+        groups._automorphism_images, "range(step, n, step)", "range(step, n + step, step)",
+        automorphisms_of(test_groups.ORDER_24_GROUPS),
+    ),
+    # the first test of each prime always passes, so the cyclic subgroup
+    # chain keeps one prime power too many where S + n/q != S; the seeded
+    # Z12 check is used, as the coset-union hypothesis test also kills it but
+    # may shrink for over a second
+    "cyclic-stabilizer-chain-late": (
+        setcalc._stabilizer_mask, "if _shift_mask(group, mask, step) != mask:",
+        "if _shift_mask(group, mask, step) != mask and step * q != n:",
+        test_setcalc.test_stabilizer_monotone_under_sumset,
+    ),
+    # settlement at |Sigma| = |G| - 1 drops nodes whose Sigma is not G
+    "walk-settles-one-below-g": (
+        setcalc.subset_walk, "if settle and s == full:",
+        "if settle and s.bit_count() >= group.order - 1:",
+        test_verify.test_exhaustive_walk_settles_full_sigma_subtrees,
+    ),
 }
 
 
@@ -98,8 +143,7 @@ def _mutant(function, old, new):
 def test_mutant_is_killed(name, monkeypatch):
     function, old, new, check = MUTANTS[name]
     check()  # the real code passes
-    # test_verify binds some functions by name
-    _patch_everywhere(monkeypatch, function, _mutant(function, old, new), test_verify)
+    _patch_everywhere(monkeypatch, function, _mutant(function, old, new), *CHECK_MODULES)
     t0 = time.perf_counter()
     with pytest.raises(AssertionError):
         check()
