@@ -121,6 +121,12 @@ MUTANTS = {
         "if _shift_mask(group, mask, step) != mask and step * q != n:",
         test_setcalc.test_stabilizer_monotone_under_sumset,
     ),
+    # the split stops one i short: each size loses its sets with min(h, k)
+    # low members, the whole set among them
+    "subset-masks-split-drops-top-i": (
+        verify._subset_masks, "min(h, k) + 1", "min(h, k)",
+        test_verify.test_subset_masks_yield_each_large_enough_subset_once,
+    ),
     # settlement at |Sigma| = |G| - 1 drops nodes whose Sigma is not G
     "walk-settles-one-below-g": (
         setcalc.subset_walk, "if settle and s == full:",

@@ -694,7 +694,7 @@ def test_stabilizer_matches_shift_oracle(factors, data):
     st.booleans(),
     st.data(),
 )
-@settings(max_examples=180)
+@settings(max_examples=180, deadline=None)
 def test_stabilizer_of_coset_unions_matches_shift_oracle(factors, large, data):
     # a union of K-cosets has K inside its stabilizer, so the refinement
     # grows H past {0}, which random sets seldom make it do; the cyclic

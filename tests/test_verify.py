@@ -760,8 +760,9 @@ def test_completeness_encodings_match_loop(case, data):
     """Exhaustive and sampled bitmap instances vs the loop.
 
     Exhaustive instances are `_subset_masks` bitmaps: a k-set of m members
-    is summed from its k members when 2k < m, else is the whole minus its
-    m - k dropped members.
+    is the OR of a precomputed sum of its members in the low m // 2 and one
+    of its members in the rest, a half's j-sets summed from their j members
+    when 2j < |half|, else as the half's whole minus its dropped members.
 
     The threshold is lowered so that counterexamples occur; it is kept
     where `naive_sigma` stays cheap (about 20,000 subsets in all).
@@ -792,11 +793,16 @@ def test_completeness_encodings_match_loop(case, data):
 
 
 def test_subset_masks_yield_each_large_enough_subset_once():
-    # both sides of the 2k = m switch: odd and even m, every t up to m + 1
-    for m in range(13):
-        members = [1, 3, 4, 7, 8, 10, 12, 13, 15, 18, 19, 22][:m]
+    # both sides of each half's 2j = |half| switch: odd and even m, every t
+    # up to m + 1; then the Vu shape, near-full t >= m - 3 on m up to 40
+    # (vu_check(73) takes the sets of at least 69 of 72 units)
+    small = [1, 3, 4, 7, 8, 10, 12, 13, 15, 18, 19, 22]
+    cases = [(small[:m], range(m + 2)) for m in range(13)]
+    cases += [(range(1, 3 * m, 3), range(m - 3, m + 2)) for m in range(13, 41)]
+    for members, ts in cases:
+        m = len(members)
         bits = [1 << a for a in members]
-        for t in range(m + 2):
+        for t in ts:
             got = list(_subset_masks(bits, t))
             want = [
                 sum(chosen) for k in range(t, m + 1) for chosen in combinations(bits, k)
